@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from repro.noc.flit import Port, UPWARD_PORTS
-from repro.routing.cdg import build_system_cdg, route_channels
+from repro.routing.cdg import build_system_cdg, cycle_flows, route_channels
 from repro.schemes.registry import make_scheme, scheme_names
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.topology.registry import get_topology
@@ -461,15 +461,6 @@ def extract_witness(exploration: Exploration) -> Optional[Witness]:
 # flow selection (the reproducible derivation of MC_PRESETS flow sets)
 
 
-def _all_routes(network, nodes) -> Dict[Flow, List[Channel]]:
-    routes = {}
-    for src in nodes:
-        for dst in nodes:
-            if src != dst:
-                routes[(src, dst)] = route_channels(network, src, dst)
-    return routes
-
-
 def select_flows(
     network,
     max_cycle_len: int = 12,
@@ -479,9 +470,10 @@ def select_flows(
 ) -> List[Flow]:
     """Derive a small deadlocking flow set for an unprotected network.
 
-    Enumerates short CDG cycles (shortest first), builds one witness flow
-    per cycle edge (a route using the edge's two channels consecutively),
-    and explores each candidate set under ``base`` semantics until one
+    Enumerates short CDG cycles (shortest first), takes one witness flow
+    per cycle edge (the first route, in flow order, using the edge's two
+    channels consecutively, as the CDG build recorded it), and explores
+    each candidate set under ``base`` semantics until one
     reaches a deadlock; that set is then greedily minimized (drop any
     flow whose removal keeps the deadlock reachable).  Deterministic:
     candidate order, witness choice and minimization order are all fixed
@@ -493,17 +485,13 @@ def select_flows(
     """
     nodes = network.topo.chiplet_nodes
     graph = build_system_cdg(network, nodes)
-    routes = _all_routes(network, nodes)
     cycles = sorted(
         nx.simple_cycles(graph, length_bound=max_cycle_len), key=len
     )
     if not cycles:
         raise ValueError("routing CDG is acyclic; no deadlock is constructible")
     for n, cycle in enumerate(cycles):
-        flows = _cycle_flows(cycle, routes)
-        if flows is None:
-            log(f"cycle {n} (len {len(cycle)}): no witness flow for some edge")
-            continue
+        flows = cycle_flows(graph, zip(cycle, cycle[1:] + cycle[:1]))
         model = ProtocolModel(network, flows, "base")
         probe = explore(model, max_states=cap, stop_at_first_deadlock=True)
         if probe.deadlocks:
@@ -520,23 +508,6 @@ def select_flows(
             + ("capped" if not probe.explored_to_fixpoint else "no deadlock")
         )
     raise ValueError("no candidate CDG cycle produced a model deadlock")
-
-
-def _cycle_flows(cycle, routes) -> Optional[List[Flow]]:
-    """One witness flow per cycle edge (first match in flow order)."""
-    flows: List[Flow] = []
-    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-    for a, b in edges:
-        for flow, channels in routes.items():
-            if any(
-                x == a and y == b for x, y in zip(channels, channels[1:])
-            ):
-                if flow not in flows:
-                    flows.append(flow)
-                break
-        else:
-            return None
-    return flows
 
 
 def _minimize_flows(network, flows: List[Flow], cap: int, log) -> List[Flow]:

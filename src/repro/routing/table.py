@@ -6,10 +6,15 @@ turn model permits the turn at ``v``.  A backward BFS per destination
 yields, for every (router, in_port), the minimising next hop.  This is the
 machinery behind both up*/down* routing on faulty layers and the
 composable-routing baseline's restricted chiplet tables.
+
+Construction is linear in the channel graph: one incoming-channel index
+serves every BFS, and each (router, in_port, destination) next hop is
+resolved at most once.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -32,33 +37,49 @@ class TableRouting:
         self.turn_model = turn_model
         #: neighbour over a healthy link: (rid, out_port) -> nbr
         self.neighbor_of: Dict[Tuple[int, Port], int] = {}
+        #: channels (u, port) whose head is each router
+        self._incoming: Dict[int, List[Tuple[int, Port]]] = {
+            rid: [] for rid in members
+        }
         for rid in members:
             for nbr, port in topo.layer_neighbors(rid):
                 self.neighbor_of[(rid, port)] = nbr
+                self._incoming.setdefault(nbr, []).append((rid, port))
         #: distance-to-destination per channel: dist[dst][(u, port)] is the
         #: hop count from the head of channel (u --port--> v) to dst.
-        self._dist: Dict[int, Dict[Tuple[int, Port], int]] = {}
-        for dst in members:
-            self._dist[dst] = self._backward_bfs(dst)
+        self._dist: Dict[int, Dict[Tuple[int, Port], int]] = {
+            dst: self._backward_bfs(dst) for dst in members
+        }
+        #: resolved next hops: (rid, in_port, dst) -> port, None if unroutable
+        self._next: Dict[Tuple[int, Port, int], Optional[Port]] = {}
+
+    def with_vertical_restrictions(self, turn_model: TurnModel) -> "TableRouting":
+        """A table over the same layer under ``turn_model``, which may
+        differ from this table's model only in turns into or out of a
+        vertical port.
+
+        The backward BFS takes mesh-to-mesh turns and the ejection turn
+        only, so such a model leaves every distance table unchanged: the
+        sibling shares them and resolves its own next hops.  The caller
+        owns the precondition.
+        """
+        sibling = copy.copy(self)
+        sibling.turn_model = turn_model
+        sibling._next = {}
+        return sibling
 
     # ------------------------------------------------------------------ #
-
-    def _incoming(self, rid: int) -> List[Tuple[int, Port]]:
-        """Channels (u, port) whose head is ``rid``."""
-        result = []
-        for (u, port), v in self.neighbor_of.items():
-            if v == rid:
-                result.append((u, port))
-        return result
 
     def _backward_bfs(self, dst: int) -> Dict[Tuple[int, Port], int]:
         """dist[(u, port)] = remaining hops after traversing u->nbr to
         reach ``dst`` (1 when nbr == dst and ejection is allowed)."""
+        allowed = self.turn_model.allowed
+        incoming = self._incoming
         dist: Dict[Tuple[int, Port], int] = {}
         frontier: deque = deque()
-        for u, port in self._incoming(dst):
+        for u, port in incoming[dst]:
             in_port_at_dst = OPPOSITE[port]
-            if self.turn_model.allowed(dst, in_port_at_dst, Port.LOCAL):
+            if allowed(dst, in_port_at_dst, Port.LOCAL):
                 dist[(u, port)] = 1
                 frontier.append((u, port))
         while frontier:
@@ -66,10 +87,10 @@ class TableRouting:
             d = dist[(u, port)]
             # predecessors: channels (w, p) with head u whose turn into
             # (u, port) is allowed
-            for w, p in self._incoming(u):
+            for w, p in incoming[u]:
                 if (w, p) in dist:
                     continue
-                if self.turn_model.allowed(u, OPPOSITE[p], port):
+                if allowed(u, OPPOSITE[p], port):
                     dist[(w, p)] = d + 1
                     frontier.append((w, p))
         return dist
@@ -89,6 +110,14 @@ class TableRouting:
 
     def try_next_port(self, rid: int, in_port: Port, dst: int) -> Optional[Port]:
         """Like :meth:`next_port`, but ``None`` when unroutable."""
+        key = (rid, in_port, dst)
+        try:
+            return self._next[key]
+        except KeyError:
+            port = self._next[key] = self._resolve(rid, in_port, dst)
+            return port
+
+    def _resolve(self, rid: int, in_port: Port, dst: int) -> Optional[Port]:
         if rid == dst:
             return Port.LOCAL
         dist = self._dist[dst]
@@ -138,3 +167,16 @@ class TableRouting:
             if len(steps) > 4 * len(self.members):
                 raise RuntimeError("routing table produced a loop")
         return steps
+
+
+class TranslatedRouting:
+    """A table serving a layer whose router ids are its own layer's plus
+    ``delta`` — a sibling chiplet built to the same design."""
+
+    def __init__(self, table: TableRouting, delta: int):
+        self.table = table
+        self.delta = delta
+
+    def next_port(self, rid: int, in_port: Port, dst: int) -> Port:
+        """The table's next hop, asked and answered in the sibling's ids."""
+        return self.table.next_port(rid - self.delta, in_port, dst - self.delta)

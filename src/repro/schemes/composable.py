@@ -21,19 +21,21 @@ The performance artefacts the UPP paper criticises emerge naturally:
 
 The search itself is the "complex software algorithm" of Sec. III-C; its
 cost is exposed via ``design_evaluations`` for the flexibility analysis.
+A chiplet designer pays it once per chiplet *design*, so
+:meth:`ComposableRoutingScheme.build_routing` runs it once per distinct
+chiplet and hands sibling chiplets the same design with router ids
+translated.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.noc.flit import OPPOSITE, Port
-from repro.routing.base import RestrictedTurnModel, XYTurnModel
+from repro.routing.base import LocalRouting, RestrictedTurnModel, XYTurnModel
 from repro.routing.hierarchical import HierarchicalRouting
-from repro.routing.table import TableRouting
+from repro.routing.table import TableRouting, TranslatedRouting
 from repro.routing.xy import XYLocalRouting
 from repro.schemes.base import DeadlockScheme
 from repro.topology.chiplet import SystemTopology
@@ -47,7 +49,7 @@ class ChipletDesign:
     def __init__(
         self,
         restrictions: Set[Restriction],
-        table: TableRouting,
+        table: LocalRouting,
         exit_sel: Dict[int, int],
         entry_sel: Dict[int, int],
     ):
@@ -56,8 +58,20 @@ class ChipletDesign:
         self.exit_sel = exit_sel
         self.entry_sel = entry_sel
 
+    def translated(self, delta: int) -> "ChipletDesign":
+        """This design for an identical chiplet whose router ids are this
+        one's plus ``delta``.  The search sees a chiplet only through its
+        own routers, links and boundary placement, in id order, so running
+        it on the sibling would produce exactly this."""
+        return ChipletDesign(
+            {(rid + delta, i, o) for rid, i, o in self.restrictions},
+            TranslatedRouting(self.table, delta),
+            {rid + delta: b + delta for rid, b in self.exit_sel.items()},
+            {rid + delta: b + delta for rid, b in self.entry_sel.items()},
+        )
 
-def _legal_exit_cost(table: TableRouting, model, src: int, boundary: int) -> Optional[int]:
+
+def _legal_exit_cost(table: TableRouting, src: int, boundary: int) -> Optional[int]:
     """Hops from src to the DOWN port of ``boundary`` under restrictions,
     or None if the final turn into DOWN is forbidden / unreachable."""
     if src == boundary:
@@ -68,7 +82,7 @@ def _legal_exit_cost(table: TableRouting, model, src: int, boundary: int) -> Opt
         return None
     last_rid, last_port = walk[-1]
     in_port_at_b = OPPOSITE[last_port]
-    if not model.allowed(boundary, in_port_at_b, Port.DOWN):
+    if not table.turn_model.allowed(boundary, in_port_at_b, Port.DOWN):
         return None
     return len(walk)
 
@@ -80,7 +94,7 @@ def _legal_entry_cost(table: TableRouting, dst: int, boundary: int) -> Optional[
 
 
 def _selections(
-    table: TableRouting, model, members: List[int], boundaries: List[int]
+    table: TableRouting, members: List[int], boundaries: List[int]
 ) -> Tuple[Optional[Dict[int, int]], Optional[Dict[int, int]]]:
     exit_sel: Dict[int, int] = {}
     entry_sel: Dict[int, int] = {}
@@ -88,7 +102,7 @@ def _selections(
         exit_costs = [
             (cost, b)
             for b in boundaries
-            if (cost := _legal_exit_cost(table, model, rid, b)) is not None
+            if (cost := _legal_exit_cost(table, rid, b)) is not None
         ]
         if not exit_costs:
             return None, None
@@ -104,47 +118,86 @@ def _selections(
     return exit_sel, entry_sel
 
 
+#: a CDG node: ``("ch", router, out_port)``, ``("down", b)`` or ``("up", b)``
+Node = Tuple
+#: node -> its successors; both levels in first-insertion order, which is
+#: what makes the cycle search (and so the design) deterministic
+Graph = Dict[Node, Dict[Node, None]]
+
+
 def _chiplet_cdg(
     table: TableRouting,
     members: List[int],
     boundaries: List[int],
     exit_sel: Dict[int, int],
     entry_sel: Dict[int, int],
-) -> nx.DiGraph:
+) -> Graph:
     """Channel-dependency graph of one chiplet, closed with conservative
     external down->up edges (the virtual-node abstraction)."""
-    graph = nx.DiGraph()
+    graph: Graph = {}
+
+    def add_edge(a: Node, c: Node) -> None:
+        graph.setdefault(a, {})[c] = None
+        graph.setdefault(c, {})
+
+    def add_chain(walk) -> List[Node]:
+        channels = [("ch", u, p) for u, p in walk]
+        for a, c in zip(channels, channels[1:]):
+            add_edge(a, c)
+        return channels
+
     for rid in members:
         # outbound route rid -> exit boundary -> DOWN
         b = exit_sel[rid]
         if rid != b:
-            walk = table.walk(rid, Port.LOCAL, b)
-            channels = [("ch", u, p) for u, p in walk]
-            for a, c in zip(channels, channels[1:]):
-                graph.add_edge(a, c)
-            graph.add_edge(channels[-1], ("down", b))
+            channels = add_chain(table.walk(rid, Port.LOCAL, b))
+            add_edge(channels[-1], ("down", b))
         # inbound route entry boundary -> DOWN input -> rid
         b = entry_sel[rid]
         if rid != b:
             walk = table.walk(b, Port.DOWN, rid)
-            channels = [("ch", u, p) for u, p in walk]
-            graph.add_edge(("up", b), channels[0])
-            for a, c in zip(channels, channels[1:]):
-                graph.add_edge(a, c)
+            add_edge(("up", b), ("ch", *walk[0]))
+            add_chain(walk)
         # intra-chiplet routes: the glue that joins inbound chains to
         # outbound chains (a cycle needs no single packet spanning
         # up-to-down; consecutive overlapping worms suffice)
         for dst in members:
-            if dst == rid:
-                continue
-            walk = table.walk(rid, Port.LOCAL, dst)
-            channels = [("ch", u, p) for u, p in walk]
-            for a, c in zip(channels, channels[1:]):
-                graph.add_edge(a, c)
+            if dst != rid:
+                add_chain(table.walk(rid, Port.LOCAL, dst))
     for x in boundaries:
         for y in boundaries:
-            graph.add_edge(("down", x), ("up", y))
+            add_edge(("down", x), ("up", y))
     return graph
+
+
+def _find_cycle(graph: Graph) -> Optional[List[Tuple[Node, Node]]]:
+    """The first cycle a depth-first search meets, as its edge list, or
+    ``None`` when the graph is acyclic.  Start nodes and successors are
+    taken in insertion order (the order ``networkx.find_cycle`` takes on
+    the same graph; the tests hold the two together)."""
+    finished: Set[Node] = set()
+    for start in graph:
+        if start in finished:
+            continue
+        path = [start]
+        on_path = {start}
+        pending = [iter(graph[start])]
+        while path:
+            for head in pending[-1]:
+                if head in on_path:
+                    nodes = path[path.index(head):] + [head]
+                    return list(zip(nodes, nodes[1:]))
+                if head not in finished:
+                    path.append(head)
+                    on_path.add(head)
+                    pending.append(iter(graph[head]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.remove(node)
+                finished.add(node)
+    return None
 
 
 def _candidates_on_cycle(cycle) -> List[Restriction]:
@@ -169,39 +222,49 @@ def design_chiplet(
     """Run the design-time restriction search for one chiplet.
 
     Returns the design and the number of candidate evaluations performed
-    (the algorithmic cost the paper calls impractical at runtime).
+    (the algorithmic cost the paper calls impractical at runtime): one
+    acyclicity check per round plus one connectivity check per candidate.
     """
     members = topo.chiplet_routers(chiplet)
     boundaries = topo.boundary_routers(chiplet)
-    restrictions: Set[Restriction] = set()
-    evaluations = 0
+    xy = XYTurnModel()
+    unrestricted = TableRouting(topo, members, xy)
 
     def instantiate(rset: Set[Restriction]):
-        model = RestrictedTurnModel(XYTurnModel(), rset)
-        table = TableRouting(topo, members, model)
-        exit_sel, entry_sel = _selections(table, model, members, boundaries)
-        return model, table, exit_sel, entry_sel
+        # every restriction forbids a turn into or out of DOWN, which the
+        # table's backward BFS never takes: all candidates share one set
+        # of distance tables
+        assert all(Port.DOWN in (i, o) for _rid, i, o in rset)
+        table = unrestricted.with_vertical_restrictions(
+            RestrictedTurnModel(xy, rset)
+        )
+        return (table, *_selections(table, members, boundaries))
 
+    restrictions: Set[Restriction] = set()
+    table, exit_sel, entry_sel = instantiate(restrictions)
+    evaluations = 0
     for _ in range(max_iterations):
-        model, table, exit_sel, entry_sel = instantiate(restrictions)
+        # a round examines the set the previous round accepted: that is
+        # one evaluation of the search, served by the trial's instantiation
         evaluations += 1
         if exit_sel is None:
             raise RuntimeError("composable design lost connectivity")
-        graph = _chiplet_cdg(table, members, boundaries, exit_sel, entry_sel)
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
+        cycle = _find_cycle(
+            _chiplet_cdg(table, members, boundaries, exit_sel, entry_sel)
+        )
+        if cycle is None:
             return ChipletDesign(restrictions, table, exit_sel, entry_sel), evaluations
         placed = False
         for candidate in _candidates_on_cycle(cycle):
             if candidate in restrictions:
                 continue
             trial = restrictions | {candidate}
-            _, t_table, t_exit, t_entry = instantiate(trial)
+            t_table, t_exit, t_entry = instantiate(trial)
             evaluations += 1
             if t_exit is None:
                 continue  # would disconnect some router from the outside
             restrictions = trial
+            table, exit_sel, entry_sel = t_table, t_exit, t_entry
             placed = True
             break
         if not placed:
@@ -209,6 +272,22 @@ def design_chiplet(
                 f"no feasible turn restriction breaks the cycle {cycle}"
             )
     raise RuntimeError("composable design did not converge")
+
+
+def _chiplet_key(topo: SystemTopology, chiplet: int) -> Hashable:
+    """What the design search can see of a chiplet, in chiplet-local ids:
+    mesh shape, boundary placement and the ordered local link list.  Two
+    chiplets with equal keys get translations of one design."""
+    first = topo.chiplet_router(chiplet, (0, 0))
+    return (
+        topo.chiplet_shapes[chiplet],
+        tuple(b - first for b in topo.boundary_routers(chiplet)),
+        tuple(
+            (rid - first, port, nbr - first)
+            for rid in topo.chiplet_routers(chiplet)
+            for nbr, port in topo.layer_neighbors(rid)
+        ),
+    )
 
 
 class ComposableRoutingScheme(DeadlockScheme):
@@ -220,6 +299,7 @@ class ComposableRoutingScheme(DeadlockScheme):
     cdg_expectation = "acyclic"
 
     def __init__(self) -> None:
+        #: chiplet -> its design, for the topology of the latest build
         self.designs: Dict[int, ChipletDesign] = {}
         self.design_evaluations = 0
 
@@ -234,11 +314,25 @@ class ComposableRoutingScheme(DeadlockScheme):
             )
         exit_binding: Dict[int, int] = {}
         entry_binding: Dict[int, int] = {}
-        chiplet_tables: Dict[int, TableRouting] = {}
+        chiplet_tables: Dict[int, LocalRouting] = {}
+        self.designs = {}
         self.design_evaluations = 0
+        # per distinct chiplet: the first one's design, search cost and
+        # first router id
+        designed: Dict[Hashable, Tuple[ChipletDesign, int, int]] = {}
         for chiplet in range(topo.n_chiplets):
-            design, evaluations = design_chiplet(topo, chiplet)
+            key = _chiplet_key(topo, chiplet)
+            first = topo.chiplet_router(chiplet, (0, 0))
+            if key in designed:
+                original, evaluations, original_first = designed[key]
+                design = original.translated(first - original_first)
+            else:
+                design, evaluations = design_chiplet(topo, chiplet)
+                designed[key] = design, evaluations, first
             self.designs[chiplet] = design
+            # what the system's designers pay (Sec. III-C): every chiplet
+            # counts its design's cost, although identical ones share one
+            # run of the search here
             self.design_evaluations += evaluations
             exit_binding.update(design.exit_sel)
             entry_binding.update(design.entry_sel)

@@ -15,10 +15,11 @@ interposer").
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.noc.flit import OPPOSITE, Port
+from repro.noc.flit import MESH_PORTS, OPPOSITE, Port
 from repro.topology.mesh import (
     Coord,
     boundary_positions,
@@ -41,14 +42,22 @@ class LinkSpec:
 
 @dataclass
 class SystemTopology:
-    """Description of a chiplet-based system."""
+    """Description of a chiplet-based system.
+
+    The shapes fix the router id space at construction; links and
+    vertical attachments are added through :meth:`add_link` and
+    :meth:`add_vertical`, which keep the per-router and per-chiplet
+    indexes behind :meth:`layer_neighbors` and :meth:`boundary_routers`
+    current.  ``faulty`` may be mutated freely at any time: the indexes
+    do not depend on it.
+    """
 
     interposer_shape: Tuple[int, int]
     chiplet_shapes: List[Tuple[int, int]]
     #: chiplet placement: chiplet i covers interposer rows/cols starting here
     chiplet_origins: List[Coord]
-    n_interposer: int = 0
-    n_routers: int = 0
+    n_interposer: int = field(init=False)
+    n_routers: int = field(init=False)
     coords: Dict[int, Coord] = field(default_factory=dict)
     chiplet_of: Dict[int, int] = field(default_factory=dict)  # -1 = interposer
     links: List[LinkSpec] = field(default_factory=list)
@@ -59,6 +68,49 @@ class SystemTopology:
     #: interposer port used to reach each boundary router
     up_port_of: Dict[int, Port] = field(default_factory=dict)
     faulty: Set[Tuple[int, int]] = field(default_factory=set)
+    #: first router id of each chiplet
+    _chiplet_base: List[int] = field(init=False, repr=False)
+    #: router -> its outgoing same-layer links, in ``links`` order
+    _mesh_out: Dict[int, List[LinkSpec]] = field(init=False, repr=False)
+    #: chiplet -> its boundary routers, ascending
+    _boundaries: List[List[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        irows, icols = self.interposer_shape
+        self.n_interposer = irows * icols
+        self._chiplet_base = []
+        base = self.n_interposer
+        for rows, cols in self.chiplet_shapes:
+            self._chiplet_base.append(base)
+            base += rows * cols
+        self.n_routers = base
+        self._mesh_out = {rid: [] for rid in range(self.n_routers)}
+        self._boundaries = [[] for _ in self.chiplet_shapes]
+
+    # ------------------------------------------------------------------ #
+    # construction
+
+    def add_link(self, link: LinkSpec) -> None:
+        """Append one unidirectional link."""
+        self.links.append(link)
+        if link.src_port in MESH_PORTS:
+            self._mesh_out[link.src].append(link)
+
+    def add_vertical(self, boundary: int, iposer: int) -> None:
+        """Attach chiplet router ``boundary`` to interposer router
+        ``iposer`` with one vertical link pair."""
+        existing = self.attach_up.setdefault(iposer, [])
+        up_port = Port.UP if not existing else Port.UP2
+        if len(existing) >= 2:
+            raise ValueError(f"interposer router {iposer} already has two up links")
+        existing.append(boundary)
+        self.attach_down[boundary] = iposer
+        self.up_port_of[boundary] = up_port
+        insort(self._boundaries[self.chiplet_of[boundary]], boundary)
+        # up direction: interposer -> boundary, enters the chiplet's DOWN port
+        self.add_link(LinkSpec(iposer, boundary, up_port, Port.DOWN))
+        # down direction: boundary -> interposer
+        self.add_link(LinkSpec(boundary, iposer, Port.DOWN, up_port))
 
     # ------------------------------------------------------------------ #
     # id helpers
@@ -69,16 +121,14 @@ class SystemTopology:
 
     def chiplet_router(self, chiplet: int, coord: Coord) -> int:
         """Router id at a chiplet-local coordinate."""
-        base = self.n_interposer
-        for c in range(chiplet):
-            rows, cols = self.chiplet_shapes[c]
-            base += rows * cols
-        return base + index_of(coord, self.chiplet_shapes[chiplet][1])
+        return self._chiplet_base[chiplet] + index_of(
+            coord, self.chiplet_shapes[chiplet][1]
+        )
 
     def chiplet_routers(self, chiplet: int) -> List[int]:
         """All router ids of one chiplet, row-major."""
         rows, cols = self.chiplet_shapes[chiplet]
-        first = self.chiplet_router(chiplet, (0, 0))
+        first = self._chiplet_base[chiplet]
         return list(range(first, first + rows * cols))
 
     @property
@@ -97,11 +147,11 @@ class SystemTopology:
         return list(range(self.n_interposer, self.n_routers))
 
     def boundary_routers(self, chiplet: Optional[int] = None) -> List[int]:
-        """Boundary router ids, optionally restricted to one chiplet."""
-        rids = sorted(self.attach_down)
+        """Boundary router ids, ascending, optionally restricted to one
+        chiplet."""
         if chiplet is None:
-            return rids
-        return [r for r in rids if self.chiplet_of[r] == chiplet]
+            return [rid for rids in self._boundaries for rid in rids]
+        return list(self._boundaries[chiplet])
 
     def is_interposer(self, rid: int) -> bool:
         """Layer test by router id."""
@@ -109,24 +159,19 @@ class SystemTopology:
 
     def layer_neighbors(self, rid: int) -> List[Tuple[int, Port]]:
         """Same-layer (mesh) neighbours via healthy links."""
-        result = []
-        for link in self.links:
-            if link.src == rid and link.src_port in (
-                Port.NORTH,
-                Port.SOUTH,
-                Port.EAST,
-                Port.WEST,
-            ):
-                if (link.src, link.dst) not in self.faulty:
-                    result.append((link.dst, link.src_port))
-        return result
+        faulty = self.faulty
+        return [
+            (link.dst, link.src_port)
+            for link in self._mesh_out[rid]
+            if (rid, link.dst) not in faulty
+        ]
 
     def mesh_link_pairs(self) -> List[Tuple[int, int]]:
         """All bidirectional same-layer link pairs (for fault injection),
         as (low_rid, high_rid) tuples, deduplicated."""
         pairs = set()
         for link in self.links:
-            if link.src_port in (Port.NORTH, Port.SOUTH, Port.EAST, Port.WEST):
+            if link.src_port in MESH_PORTS:
                 pairs.add((min(link.src, link.dst), max(link.src, link.dst)))
         return sorted(pairs)
 
@@ -160,8 +205,6 @@ def build_system(
             (g // gcols * frows, g % gcols * fcols) for g in range(n_chiplets)
         ],
     )
-    topo.n_interposer = irows * icols
-    topo.n_routers = topo.n_interposer + n_chiplets * crows * ccols
 
     # coordinates and layers
     for rid in range(topo.n_interposer):
@@ -175,7 +218,7 @@ def build_system(
 
     # mesh links
     for src_c, dst_c, port in mesh_links(irows, icols):
-        topo.links.append(
+        topo.add_link(
             LinkSpec(
                 topo.interposer_router(src_c),
                 topo.interposer_router(dst_c),
@@ -185,7 +228,7 @@ def build_system(
         )
     for chip in range(n_chiplets):
         for src_c, dst_c, port in mesh_links(crows, ccols):
-            topo.links.append(
+            topo.add_link(
                 LinkSpec(
                     topo.chiplet_router(chip, src_c),
                     topo.chiplet_router(chip, dst_c),
@@ -197,8 +240,7 @@ def build_system(
     # vertical links
     if boundary_coords is None:
         boundary_coords = boundary_positions(crows, ccols, boundary_per_chiplet)
-    if len(boundary_coords) not in (len(set(boundary_coords)),):
-        raise ValueError("duplicate boundary coordinates")
+    _reject_duplicates(boundary_coords)
     per_footprint = len(boundary_coords) / (frows * fcols)
     if per_footprint > 2:
         raise ValueError(
@@ -214,22 +256,15 @@ def build_system(
         for i, bc in enumerate(sorted(boundary_coords)):
             boundary = topo.chiplet_router(chip, bc)
             iposer = footprint[i % len(footprint)]
-            _add_vertical(topo, boundary, iposer)
+            topo.add_vertical(boundary, iposer)
     return topo
 
 
-def _add_vertical(topo: SystemTopology, boundary: int, iposer: int) -> None:
-    existing = topo.attach_up.setdefault(iposer, [])
-    up_port = Port.UP if not existing else Port.UP2
-    if len(existing) >= 2:
-        raise ValueError(f"interposer router {iposer} already has two up links")
-    existing.append(boundary)
-    topo.attach_down[boundary] = iposer
-    topo.up_port_of[boundary] = up_port
-    # up direction: interposer -> boundary, enters the chiplet's DOWN port
-    topo.links.append(LinkSpec(iposer, boundary, up_port, Port.DOWN))
-    # down direction: boundary -> interposer
-    topo.links.append(LinkSpec(boundary, iposer, Port.DOWN, up_port))
+def _reject_duplicates(boundary_coords: Sequence[Coord]) -> None:
+    """A repeated coordinate would attach one boundary router twice,
+    overwriting ``attach_down`` / ``up_port_of`` and doubling its links."""
+    if len(set(boundary_coords)) != len(boundary_coords):
+        raise ValueError("duplicate boundary coordinates")
 
 
 def build_heterogeneous_system(
@@ -253,10 +288,6 @@ def build_heterogeneous_system(
         chiplet_shapes=[tuple(c["shape"]) for c in chiplets],
         chiplet_origins=[tuple(c["origin"]) for c in chiplets],
     )
-    topo.n_interposer = irows * icols
-    topo.n_routers = topo.n_interposer + sum(
-        r * c for r, c in topo.chiplet_shapes
-    )
 
     for rid in range(topo.n_interposer):
         topo.coords[rid] = coord_of(rid, icols)
@@ -269,7 +300,7 @@ def build_heterogeneous_system(
             topo.chiplet_of[rid] = chip
 
     for src_c, dst_c, port in mesh_links(irows, icols):
-        topo.links.append(
+        topo.add_link(
             LinkSpec(
                 topo.interposer_router(src_c),
                 topo.interposer_router(dst_c),
@@ -281,7 +312,7 @@ def build_heterogeneous_system(
     for chip, spec in enumerate(chiplets):
         crows, ccols = spec["shape"]
         for src_c, dst_c, port in mesh_links(crows, ccols):
-            topo.links.append(
+            topo.add_link(
                 LinkSpec(
                     topo.chiplet_router(chip, src_c),
                     topo.chiplet_router(chip, dst_c),
@@ -302,6 +333,7 @@ def build_heterogeneous_system(
                 claimed.add(coord)
                 footprint.append(topo.interposer_router(coord))
         boundary_coords = sorted(tuple(b) for b in spec["boundary"])
+        _reject_duplicates(boundary_coords)
         if len(boundary_coords) > 2 * len(footprint):
             raise ValueError(
                 f"chiplet {chip}: too many boundary routers for its footprint"
@@ -309,7 +341,7 @@ def build_heterogeneous_system(
         for i, bc in enumerate(boundary_coords):
             if not (0 <= bc[0] < crows and 0 <= bc[1] < ccols):
                 raise ValueError(f"boundary {bc} outside chiplet {chip}")
-            _add_vertical(topo, topo.chiplet_router(chip, bc), footprint[i % len(footprint)])
+            topo.add_vertical(topo.chiplet_router(chip, bc), footprint[i % len(footprint)])
     return topo
 
 

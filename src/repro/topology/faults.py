@@ -10,14 +10,17 @@ disconnect a layer are rejected and redrawn.
 from __future__ import annotations
 
 import random
-from typing import Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Set, Tuple
 
 from repro.topology.chiplet import SystemTopology
 
+if TYPE_CHECKING:  # imported where connectivity is checked: a healthy sweep never needs it
+    import networkx as nx
+
 
 def _layer_graph(topo: SystemTopology, exclude: Set[Tuple[int, int]]) -> nx.Graph:
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(topo.n_routers))
     for low, high in topo.mesh_link_pairs():
@@ -27,6 +30,8 @@ def _layer_graph(topo: SystemTopology, exclude: Set[Tuple[int, int]]) -> nx.Grap
 
 
 def _layers_connected(topo: SystemTopology, exclude: Set[Tuple[int, int]]) -> bool:
+    import networkx as nx
+
     graph = _layer_graph(topo, exclude)
     groups = [topo.interposer_routers] + [
         topo.chiplet_routers(c) for c in range(topo.n_chiplets)

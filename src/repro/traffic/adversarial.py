@@ -7,8 +7,9 @@ channel is also on the cycle.  Under benign synthetic traffic this is rare
 demonstrations and tests we synthesise the coincidence deliberately:
 
 1. build the system CDG and find a dependency cycle;
-2. for every edge of the cycle, find a witness (src, dst) flow whose route
-   uses those two channels consecutively;
+2. for every edge of the cycle, take the witness (src, dst) flow the CDG
+   build recorded: the first whose route uses those two channels
+   consecutively;
 3. saturate all witness flows with back-to-back data packets on one VNet.
 
 With 1 VC per VNet the witnesses wedge into the cycle within a few
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.noc.ni import Endpoint
-from repro.routing.cdg import build_system_cdg, route_channels
+from repro.routing.cdg import build_system_cdg, cycle_flows
 from repro.traffic.synthetic import DATA_VNET
 
 
@@ -33,6 +32,8 @@ def witness_flows(network, nodes: Optional[List[int]] = None) -> List[Tuple[int,
     Raises ``ValueError`` when the network's routing has an acyclic CDG
     (composable routing) — no adversarial workload can deadlock it.
     """
+    import networkx as nx
+
     if nodes is None:
         nodes = network.topo.chiplet_nodes
     graph = build_system_cdg(network, nodes)
@@ -40,27 +41,7 @@ def witness_flows(network, nodes: Optional[List[int]] = None) -> List[Tuple[int,
         cycle = nx.find_cycle(graph)
     except nx.NetworkXNoCycle:
         raise ValueError("routing CDG is acyclic; no deadlock is constructible")
-    edge_witness: Dict[Tuple, Tuple[int, int]] = {}
-    wanted = {(u, v) for u, v in cycle}
-    for src in nodes:
-        for dst in nodes:
-            if src == dst:
-                continue
-            channels = route_channels(network, src, dst)
-            for a, b in zip(channels, channels[1:]):
-                if (a, b) in wanted and (a, b) not in edge_witness:
-                    edge_witness[(a, b)] = (src, dst)
-        if len(edge_witness) == len(wanted):
-            break
-    missing = wanted - set(edge_witness)
-    if missing:
-        raise RuntimeError(f"no witness route for CDG edges {missing}")
-    flows = []
-    for edge in cycle:
-        flow = edge_witness[(edge[0], edge[1])]
-        if flow not in flows:
-            flows.append(flow)
-    return flows
+    return cycle_flows(graph, cycle)
 
 
 class SaturatingEndpoint(Endpoint):

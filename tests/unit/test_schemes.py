@@ -89,6 +89,21 @@ class TestComposableDesign:
         assert stats["design_evaluations"] > 32
 
 
+    def test_rebuild_reports_the_latest_topology_only(self):
+        """A scheme object rebuilt on a system with fewer chiplets must
+        not keep reporting the earlier system's designs."""
+        from repro.topology.chiplet import mc_2x1_system
+
+        scheme = ComposableRoutingScheme()
+        Network(baseline_system(), NocConfig(), scheme)
+        Network(mc_2x1_system(), NocConfig(), scheme)
+        assert sorted(scheme.designs) == [0, 1]
+        assert scheme.stats_snapshot() == {
+            "turn_restrictions": 4,
+            "design_evaluations": 12,
+        }
+
+
 class TestRemoteControlAttachment:
     def test_units_on_boundary_routers_only(self):
         net = Network(baseline_system(), NocConfig(), RemoteControlScheme())

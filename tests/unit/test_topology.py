@@ -129,6 +129,21 @@ class TestHeterogeneousBuilder:
                   "boundary": [(0, 0), (0, 1), (0, 2)]}],  # 3 links, 1 router
             )
 
+    def test_duplicate_boundary_rejected_by_both_builders(self):
+        """A repeated coordinate would attach one boundary router twice,
+        overwriting its ``attach_down`` / ``up_port_of`` entries and
+        doubling its DOWN links."""
+        from repro.topology.chiplet import build_heterogeneous_system
+
+        with pytest.raises(ValueError, match="duplicate boundary"):
+            build_heterogeneous_system(
+                (2, 2),
+                [{"shape": (3, 3), "origin": (0, 0), "footprint": (2, 2),
+                  "boundary": [(0, 1), (2, 1), (0, 1)]}],
+            )
+        with pytest.raises(ValueError, match="duplicate boundary"):
+            build_system(boundary_coords=[(0, 1), (3, 2), (0, 1), (3, 1)])
+
     def test_single_chiplet_system(self):
         from repro.topology.chiplet import build_heterogeneous_system
 
