@@ -58,7 +58,8 @@ examples-smoke:
 
 # boot a real `python -m repro serve` subprocess and drive it with
 # repro.client: submit, stream SSE progress, warm-resubmit (must execute
-# zero simulations), graceful SIGTERM shutdown
+# zero simulations, wait zero seconds, carry the job record in its `done`
+# event), graceful SIGTERM shutdown, reboot and wait() on the finished job
 service-smoke:
 	PYTHONPATH=src $(PYTHON) tools/service_smoke.py
 

@@ -11,11 +11,13 @@ but the stdlib::
     rows = client.result(job["id"])["result"]["points"]
 
 ``submit_*`` return the job's public record immediately (the server
-answers 202 before executing); :meth:`ServiceClient.wait` follows the
-job's Server-Sent-Events stream — history replays first, so attaching
-after completion still terminates.  Server-side schema violations
-surface as :class:`ServiceError` carrying the server's actionable
-message.
+answers 202 before simulating anything; a request it can answer from
+its cache alone comes back already ``done``).
+:meth:`ServiceClient.wait` follows the job's Server-Sent-Events stream —
+history replays first and a finished job's stream always ends with its
+terminal event, so attaching after completion (or after a server
+restart) still terminates.  Server-side schema violations surface as
+:class:`ServiceError` carrying the server's actionable message.
 """
 
 from __future__ import annotations
@@ -143,15 +145,21 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """Follow the job's stream to completion; returns the final job.
 
-        Raises :class:`ServiceError` if the job failed.  If the stream
-        closed without a terminal event (server shutdown requeued the
-        job), the returned record's ``state`` says so — callers can
-        resubscribe after the service restarts.
+        The terminal event carries the job's record, so no further
+        request is made.  Raises :class:`ServiceError` if the job
+        failed.  If the stream closed without a terminal event (server
+        shutdown requeued the job), the record is fetched instead and
+        its ``state`` says so — callers can resubscribe after the
+        service restarts.
         """
+        job = None
         for event, data in self.stream(job_id):
             if event == "progress" and on_progress is not None:
                 on_progress(data)
-        job = self.job(job_id)
+            elif event in TERMINAL_EVENTS:
+                job = data.get("job")
+        if job is None:
+            job = self.job(job_id)
         if job["state"] == "failed":
             raise ServiceError(409, f"job {job_id} failed: {job['error']}")
         return job

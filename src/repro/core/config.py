@@ -47,8 +47,9 @@ class UPPConfig:
     FINGERPRINT_TAG = "repro.UPPConfig/v1"
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical plain-dict form (JSON-able, one key per field)."""
-        return dataclasses.asdict(self)
+        """Canonical plain-dict form (JSON-able, one key per field);
+        scalar fields read directly, as :meth:`NocConfig.to_dict` does."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "UPPConfig":

@@ -16,8 +16,9 @@ hit is guaranteed to reproduce the simulation bit-identically — the cache
 trades CPU for disk without changing any result.
 
 Entries are one JSON file each, sharded by key prefix
-(``<root>/<key[:2]>/<key>.json``), written atomically (temp file +
-``os.replace``) so a killed campaign never leaves a half-written entry.
+(``<root>/<key[:2]>/<key>.json``), written atomically (a temp file of the
+writer's own + ``os.replace``) so neither a killed campaign nor a second
+writer of the same key ever leaves a half-written entry.
 A corrupt or unreadable entry is treated as a miss and deleted, so a
 damaged cache heals itself on the next run.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
@@ -137,9 +139,11 @@ class ResultCache:
             "spec": dict(spec),
             "result": result,
         }
-        tmp = path.with_suffix(".tmp")
+        # a temp name per writer: two threads (or processes) storing the
+        # same key must not rename each other's half-written file
+        tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(entry, handle, sort_keys=True)
+            handle.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
         return path
 

@@ -34,7 +34,6 @@ identical series.
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -255,24 +254,3 @@ class ExperimentRunner:
         return multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-
-
-def default_runner(progress: Optional[ProgressFn] = None) -> ExperimentRunner:
-    """Deprecated: runner configured from the environment.
-
-    Environment configuration (``REPRO_JOBS`` worker count,
-    ``REPRO_CACHE_DIR`` cache attachment) now lives in **one** place —
-    :func:`repro.api.make_runner`, which reads both variables when its
-    arguments are None.  This shim delegates there and warns; it will be
-    removed once external callers have migrated.
-    """
-    warnings.warn(
-        "repro.exp.default_runner() is deprecated; environment "
-        "configuration (REPRO_JOBS / REPRO_CACHE_DIR) moved to "
-        "repro.api.make_runner()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro import api
-
-    return api.make_runner(progress=progress)

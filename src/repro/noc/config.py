@@ -112,8 +112,12 @@ class NocConfig:
     FINGERPRINT_TAG = "repro.NocConfig/v1"
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical plain-dict form (JSON-able, one key per field)."""
-        return dataclasses.asdict(self)
+        """Canonical plain-dict form (JSON-able, one key per field).
+
+        Every field is a scalar, so reading them directly gives what
+        ``dataclasses.asdict`` would without its recursive deep copy.
+        """
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "NocConfig":

@@ -6,6 +6,9 @@ A :class:`SweepService` is a long-running asyncio process that turns
 * **submission** — ``POST /v1/sweeps`` / ``POST /v1/workloads`` accept
   the versioned request schemas (:mod:`repro.service.schemas`) and
   return a job id immediately (HTTP 202);
+* **warm path** — a request whose every point is already in the cache
+  is replayed on the submit path and answered ``done`` in that 202: one
+  durable write, no queue wait, no worker thread;
 * **persistent queue** — jobs land in a crash-safe on-disk
   :class:`~repro.service.queue.JobQueue`; a restarted server resumes
   where the dead one stopped, and completed points replay from the
@@ -13,7 +16,8 @@ A :class:`SweepService` is a long-running asyncio process that turns
 * **streaming progress** — ``GET /v1/jobs/<id>/events`` is a
   Server-Sent-Events stream fed by the runner's existing
   ``progress(done, total, label, source)`` callbacks (history replays
-  first, so a late subscriber misses nothing);
+  first, so a late subscriber misses nothing); the terminal event
+  carries the job's public record;
 * **single-flight dedup** — two concurrent jobs with the same request
   fingerprint execute **once**; the follower awaits the leader's result
   and completes with ``metrics.deduped = true``.  Sequential
@@ -47,14 +51,22 @@ from repro.exp.backends import CacheBackend
 from repro.exp.runner import ExperimentRunner, WorkerCrashError
 from repro.exp.schemas import JobSchemaError
 from repro.service import schemas as wire
-from repro.service.jobs import Job
+from repro.service.jobs import TERMINAL_STATES, Job
 from repro.service.queue import JobQueue
-
-#: SSE event names that end a job's stream.
-TERMINAL_EVENTS = ("done", "failed")
 
 #: service stats wire tag (`GET /v1/stats`).
 STATS_SCHEMA = "repro-service-stats/v1"
+
+#: largest request body read; a longer ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _CacheMiss(Exception):
+    """The submit-path replay reached a point the cache does not hold."""
+
+
+def _refuse_to_simulate(spec):
+    raise _CacheMiss
 
 
 class SweepService:
@@ -137,21 +149,77 @@ class SweepService:
     def _log_event(self, job_id: str, event: str, data: Dict[str, object]) -> None:
         """Record one SSE event and fan it out to live subscribers."""
         self._events.setdefault(job_id, []).append((event, data))
+        self._publish(job_id, event, data)
+
+    def _publish(self, job_id: str, event: str, data: Dict[str, object]) -> None:
+        """Fan one event out to live subscribers without recording it —
+        how terminal events travel: every stream renders its own from
+        the job record, which, unlike the history, survives a restart."""
         for queue in self._subscribers.get(job_id, ()):
             queue.put_nowait((event, data))
 
     # ------------------------------------------------------------- submission
 
     def submit(self, kind: str, body) -> Job:
-        """Validate one request body and enqueue it; returns the job."""
+        """Validate one request body and take the job in; returns the job.
+
+        A request the cache can answer completely is replayed right here
+        and recorded already ``done``; any other is enqueued for a worker.
+        """
         request, fingerprint = wire.job_fingerprint(kind, body)
         job = Job.create(kind, request, fingerprint)
-        self.queue.submit(job)
         self.totals["submitted"] += 1
-        self._log_event(job.id, "state", {"state": "queued"})
-        if self._wake is not None:
-            self._wake.set()
+        if not self._replay(job):
+            self.queue.submit(job)
+            self._log_event(job.id, "state", {"state": "queued"})
+            if self._wake is not None:
+                self._wake.set()
         return job
+
+    def _replay(self, job: Job) -> bool:
+        """Answer ``job`` from the cache alone, on the calling (loop) thread.
+
+        Runs the same :meth:`_run_request` a worker would, over a serial
+        runner whose executor refuses to simulate.  On a miss nothing is
+        kept and False is returned.  Otherwise the job is recorded
+        ``done`` — its one persist — with the event history a queued run
+        would have left, and never waits in the queue.
+        """
+        if self.cache is None:
+            return False
+        events = [("state", {"state": "running"})]
+        runner = ExperimentRunner(
+            cache=self.cache,
+            execute=_refuse_to_simulate,
+            progress=lambda *point: events.append(_progress_event(*point)),
+        )
+        try:
+            result = self._run_request(job, runner)
+        except Exception:
+            # a miss — or an error, which the worker will meet again and
+            # report as the job's failure
+            return False
+        job.attempts = 1
+        job.metrics.update(queue_wait_s=0.0, deduped=False)
+        self._complete(job, result, runner.stats.as_dict())
+        job.started_unix = job.finished_unix
+        self.queue.record(job)
+        self._events[job.id] = events
+        return True
+
+    def _complete(self, job: Job, result, stats: Dict[str, object]) -> None:
+        """Mark ``job`` done and count it; the caller persists it."""
+        job.result = result
+        job.metrics.update(
+            executed=stats.get("executed", 0),
+            cached=stats.get("cached", 0),
+            retried=stats.get("retried", 0),
+        )
+        job.state = "done"
+        job.finished_unix = time.time()
+        self.totals["completed"] += 1
+        self.totals["executed"] += job.metrics["executed"]
+        self.totals["cached"] += job.metrics["cached"]
 
     # ------------------------------------------------------------- workers
 
@@ -210,30 +278,11 @@ class SweepService:
             job.finished_unix = time.time()
             self.queue.persist(job)
             self.totals["failed"] += 1
-            self._log_event(job.id, "failed", {"state": "failed", "error": job.error})
+            self._publish(job.id, *_terminal_event(job))
             return
-        job.result = result
-        job.metrics.update(
-            executed=stats.get("executed", 0),
-            cached=stats.get("cached", 0),
-            retried=stats.get("retried", 0),
-        )
-        job.state = "done"
-        job.finished_unix = time.time()
+        self._complete(job, result, stats)
         self.queue.persist(job)
-        self.totals["completed"] += 1
-        self.totals["executed"] += stats.get("executed", 0)
-        self.totals["cached"] += stats.get("cached", 0)
-        self._log_event(
-            job.id,
-            "done",
-            {
-                "state": "done",
-                "executed": job.metrics["executed"],
-                "cached": job.metrics["cached"],
-                "deduped": job.metrics["deduped"],
-            },
-        )
+        self._publish(job.id, *_terminal_event(job))
 
     async def _execute_with_retry(self, job: Job):
         """Run the job's request, backing off exponentially when the
@@ -244,12 +293,9 @@ class SweepService:
         for attempt in range(self.retries + 1):
             job.attempts = attempt + 1
 
-            def progress(done: int, total: int, label: str, source: str) -> None:
+            def progress(*point) -> None:
                 loop.call_soon_threadsafe(
-                    self._log_event,
-                    job.id,
-                    "progress",
-                    {"done": done, "total": total, "label": label, "source": source},
+                    self._log_event, job.id, *_progress_event(*point)
                 )
 
             runner = ExperimentRunner(
@@ -359,8 +405,25 @@ class SweepService:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
-            body = await reader.readexactly(length) if length else b""
+            declared = headers.get("content-length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                await self._respond(
+                    writer,
+                    400,
+                    {"error": f"Content-Length {declared!r} is not a "
+                              "non-negative integer"},
+                )
+                return
+            length = int(declared)
+            if length > MAX_BODY_BYTES:  # refused unread
+                await self._respond(
+                    writer,
+                    413,
+                    {"error": f"request body of {length} bytes exceeds the "
+                              f"limit of {MAX_BODY_BYTES}"},
+                )
+                return
+            body = await reader.readexactly(length)
             await self._route(method, target.partition("?")[0], body, writer)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -431,7 +494,8 @@ class SweepService:
         self, writer: asyncio.StreamWriter, status: int, payload
     ) -> None:
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 409: "Conflict"}.get(status, "OK")
+                  404: "Not Found", 409: "Conflict",
+                  413: "Payload Too Large"}.get(status, "OK")
         body = json.dumps(payload).encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
@@ -445,25 +509,23 @@ class SweepService:
     async def _stream_events(
         self, job: Job, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one SSE connection: replay history, then stream live."""
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/event-stream\r\n"
-            "Cache-Control: no-cache\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
+        """Serve one SSE connection: replay history, then stream live.
+
+        A finished job's stream always ends with its terminal event,
+        whether or not this process holds any history for it.
+        """
+        chunks = [_SSE_HEAD]
+        chunks += [_sse(event, data) for event, data in self._events.get(job.id, ())]
+        terminal = job.state in TERMINAL_STATES
+        if terminal:
+            chunks.append(_sse(*_terminal_event(job)))
         # snapshot + subscribe atomically (no await in between), so every
         # event lands in exactly one of history / live queue
-        history = list(self._events.get(job.id, ()))
         queue: asyncio.Queue = asyncio.Queue()
         subscribers = self._subscribers.setdefault(job.id, set())
         subscribers.add(queue)
         try:
-            terminal = False
-            for event, data in history:
-                writer.write(_sse(event, data))
-                terminal = terminal or event in TERMINAL_EVENTS
+            writer.write(b"".join(chunks))  # one send for the whole replay
             await writer.drain()
             while not terminal:
                 item = await queue.get()
@@ -472,15 +534,47 @@ class SweepService:
                 event, data = item
                 writer.write(_sse(event, data))
                 await writer.drain()
-                terminal = event in TERMINAL_EVENTS
+                terminal = event in TERMINAL_STATES
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             subscribers.discard(queue)
+            if not subscribers:
+                self._subscribers.pop(job.id, None)
+
+
+_SSE_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: text/event-stream\r\n"
+    b"Cache-Control: no-cache\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 
 def _sse(event: str, data: Dict[str, object]) -> bytes:
     return f"event: {event}\ndata: {json.dumps(data)}\n\n".encode("utf-8")
+
+
+def _progress_event(
+    done: int, total: int, label: str, source: str
+) -> Tuple[str, Dict[str, object]]:
+    """The runner's ``progress`` callback arguments as an SSE event."""
+    return "progress", {
+        "done": done, "total": total, "label": label, "source": source,
+    }
+
+
+def _terminal_event(job: Job) -> Tuple[str, Dict[str, object]]:
+    """The event that ends a finished job's stream, named after its state
+    and carrying its public record so a client need not ask again."""
+    if job.state == "done":
+        data = {"state": "done"}
+        for name in ("executed", "cached", "deduped"):
+            data[name] = job.metrics.get(name)
+    else:
+        data = {"state": "failed", "error": job.error}
+    data["job"] = job.public()
+    return job.state, data
 
 
 # ----------------------------------------------------------------- entrypoints

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional
 
 #: schema tag stamped on every persisted job file.
@@ -31,6 +31,10 @@ QUEUE_JOB_SCHEMA = "repro-queue-job/v1"
 
 #: every state a job can be observed in.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: the states a job never leaves; also the names of the SSE events that
+#: end its stream.
+TERMINAL_STATES = ("done", "failed")
 
 #: job kinds the service accepts (the wire paths are the plurals).
 JOB_KINDS = ("sweep", "workload")
@@ -74,8 +78,13 @@ class Job:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict[str, object]:
-        """The persisted (queue-file) form, schema-tagged."""
-        data = asdict(self)
+        """The persisted (queue-file) form, schema-tagged.
+
+        Flat: request, result and metrics are referenced, not deep-copied
+        as ``dataclasses.asdict`` would (copying them costs more than
+        encoding them) — serialise it, do not keep it.
+        """
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["schema"] = QUEUE_JOB_SCHEMA
         return data
 

@@ -80,15 +80,24 @@ class JobQueue:
         path = self._path(job.id)
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(job.to_dict(), handle, sort_keys=True)
+            # one string: json.dumps runs the C encoder in one shot,
+            # json.dump walks the pure-Python chunk iterator
+            handle.write(json.dumps(job.to_dict(), sort_keys=True))
         os.replace(tmp, path)
 
-    def submit(self, job: Job) -> Job:
-        """Accept one new job (persisted before it is visible)."""
+    def record(self, job: Job) -> Job:
+        """Take in one new job (persisted before it is visible) without
+        queueing it: for a job that arrives already finished — the
+        service's warm path — this one persist is all it ever costs."""
         if job.id in self._jobs:
             raise ValueError(f"duplicate job id {job.id}")
         self.persist(job)
         self._jobs[job.id] = job
+        return job
+
+    def submit(self, job: Job) -> Job:
+        """Accept one new job and queue it for a worker."""
+        self.record(job)
         self._pending.append(job.id)
         return job
 

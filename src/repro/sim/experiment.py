@@ -112,13 +112,13 @@ def latency_sweep(
             upp_cfg, allow_deadlock, saturated,
         )
     else:
-        specs = [
-            sweep_point_spec(
-                topo_name, cfg, scheme_name, pattern, rate, warmup, measure,
-                upp_cfg=upp_cfg, allow_deadlock=allow_deadlock,
-            )
-            for rate in rates
-        ]
+        # a sweep's points differ only in rate: canonicalise and
+        # fingerprint the configs once, not once per point
+        shared = sweep_point_spec(
+            topo_name, cfg, scheme_name, pattern, None, warmup, measure,
+            upp_cfg=upp_cfg, allow_deadlock=allow_deadlock,
+        )
+        specs = [{**shared, "rate": rate} for rate in rates]
         rows = _runner_or_default(runner).run(specs, stop_after=saturated)
     return [SweepPoint(**row) for row in rows]
 

@@ -44,6 +44,21 @@ class TestConfigRoundTrip:
         assert clone == cfg
         assert clone.fingerprint() == cfg.fingerprint()
 
+    def test_to_dict_equals_asdict_on_every_preset(self):
+        """to_dict reads the fields directly; on every shipped preset
+        (and the defaults) that is exactly what asdict would build, so
+        canonical JSON, fingerprints and cache keys cannot have moved."""
+        from repro import api
+
+        presets = [api.load_preset(name, threshold=threshold)
+                   for name in api.preset_names() for threshold in (None, 100)]
+        configs = [NocConfig(), UPPConfig()]
+        for preset in presets:
+            configs += [preset.config, preset.upp_config]
+        for cfg in configs:
+            assert cfg.to_dict() == dataclasses.asdict(cfg)
+            assert list(cfg.to_dict()) == list(dataclasses.asdict(cfg))
+
     def test_to_dict_is_json_serialisable(self):
         json.dumps(NocConfig().to_dict())
         json.dumps(UPPConfig().to_dict())

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.exp.cache import ResultCache
-from repro.exp.runner import ExperimentRunner, WorkerCrashError, default_runner
+from repro.exp.runner import ExperimentRunner, WorkerCrashError
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -151,17 +151,7 @@ class TestParallel:
 
 
 class TestDefaultRunner:
-    """Env configuration now lives in repro.api.make_runner; the old
-    repro.exp.default_runner shim must warn and delegate."""
-
-    def test_default_runner_is_deprecated(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with pytest.warns(DeprecationWarning, match="repro.api.make_runner"):
-            runner = default_runner()
-        assert runner.jobs == 3
-        assert runner.cache is not None
-        assert runner.cache.root == tmp_path
+    """Env configuration lives in repro.api.make_runner, nowhere else."""
 
     def test_make_runner_reads_env_without_warning(self, monkeypatch, tmp_path):
         import warnings
@@ -187,8 +177,8 @@ class TestDefaultRunner:
         assert runner.cache is None
 
     def test_library_sweep_path_does_not_warn(self, monkeypatch):
-        """run_sweep without runner= must not route through the
-        deprecated shim (the env read happens in repro.api)."""
+        """run_sweep without runner= reads the env in repro.api and
+        warns about nothing."""
         import warnings
 
         from repro.sim.experiment import _runner_or_default

@@ -1,5 +1,7 @@
 """Tests for the ``repro-job/v1`` wire schema and its single validator."""
 
+import dataclasses
+
 import pytest
 
 from repro.exp.schemas import JOB_SCHEMA, JobSchemaError, job_kinds, validate_job
@@ -15,6 +17,57 @@ def sweep_spec(**overrides):
     )
     spec.update(overrides)
     return spec
+
+
+class TestSweepSpecs:
+    """A sweep's specs share one canonicalised config half."""
+
+    def test_hoisted_sweep_specs_equal_per_rate_specs(self):
+        """What latency_sweep hands the runner is, key for key (and cache
+        key for cache key), what building every point on its own gives."""
+        from repro import api
+        from repro.exp.cache import cache_key
+        from repro.exp.runner import ExperimentRunner
+
+        rates = [0.01, 0.03, 0.05]
+        seen = []
+
+        def execute(spec):
+            seen.append(spec)
+            return {"rate": spec["rate"], "latency": 10.0, "network_latency": 8.0,
+                    "queueing_latency": 2.0, "throughput": spec["rate"],
+                    "deadlocked": False, "upward_packets": 0}
+
+        preset = api.load_preset("baseline-4vc", threshold=100)
+        api.run_sweep(preset, "upp", "transpose", rates, warmup=100,
+                      measure=300, runner=ExperimentRunner(execute=execute))
+        cfg, upp_cfg = preset.config, preset.upp_config
+        assert [spec["rate"] for spec in seen] == rates
+        for spec, rate in zip(seen, rates):
+            alone = sweep_point_spec(
+                "baseline", cfg, "upp", "transpose", rate, 100, 300,
+                upp_cfg=upp_cfg,
+            )
+            assert spec == alone
+            assert list(spec) == list(alone)
+            assert cache_key(spec) == cache_key(alone)
+            assert validate_job(spec) == spec
+        # ... and what a point's spec has always been, written out
+        assert seen[0] == {
+            "schema": JOB_SCHEMA, "kind": "sweep_point", "topology": "baseline",
+            "cfg": dataclasses.asdict(cfg), "cfg_fingerprint": cfg.fingerprint(),
+            "scheme": "upp", "upp_cfg": dataclasses.asdict(upp_cfg),
+            "upp_cfg_fingerprint": upp_cfg.fingerprint(), "pattern": "transpose",
+            "rate": 0.01, "warmup": 100, "measure": 300, "allow_deadlock": False,
+        }
+
+    def test_no_upp_config_stays_null(self):
+        spec = sweep_point_spec(
+            "baseline", NocConfig(), "none", "uniform_random", 0.02, 10, 20,
+            allow_deadlock=True,
+        )
+        assert spec["upp_cfg"] is None and spec["upp_cfg_fingerprint"] is None
+        assert spec["allow_deadlock"] is True
 
 
 class TestValidateJob:

@@ -1,6 +1,8 @@
 """Tests for the content-addressed result cache and its key derivation."""
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -66,6 +68,44 @@ class TestResultCache:
         # the slot can be refilled and read back normally
         cache.put(key, SPEC, {"x": 2})
         assert cache.get(key)["result"] == {"x": 2}
+
+    def test_concurrent_puts_of_one_key_both_succeed(self, tmp_path, monkeypatch):
+        """Two writers of one key (two service workers, or two processes
+        on one cache dir) each rename a temp file of their own.  Sharing
+        ``<key>.tmp``, the second writer's rename consumed the file and
+        the first raised FileNotFoundError."""
+        cache = ResultCache(tmp_path)
+        key = cache_key(SPEC)
+        at_rename, resume = threading.Event(), threading.Event()
+        real_replace = os.replace
+        errors = []
+
+        def paused_replace(src, dst):
+            if threading.current_thread() is first:
+                at_rename.set()
+                assert resume.wait(timeout=30)
+            real_replace(src, dst)
+
+        def first_writer():
+            try:
+                cache.put(key, SPEC, {"x": 1})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        monkeypatch.setattr("repro.exp.cache.os.replace", paused_replace)
+        first = threading.Thread(target=first_writer)
+        first.start()
+        assert at_rename.wait(timeout=30)  # first has written, not yet renamed
+        cache.put(key, SPEC, {"x": 2})     # second writes and renames meanwhile
+        resume.set()
+        first.join(timeout=30)
+
+        assert errors == []
+        assert cache.get(key)["result"] == {"x": 1}  # last rename wins, whole
+        assert cache.corrupt == 0
+        assert [p.name for p in cache.path_for(key).parent.iterdir()] == [
+            f"{key}.json"
+        ]
 
     def test_entry_with_wrong_key_is_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)

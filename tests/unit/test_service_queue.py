@@ -1,5 +1,6 @@
 """Tests for the crash-safe persistent job queue and Job records."""
 
+import dataclasses
 import json
 
 import pytest
@@ -28,6 +29,22 @@ class TestJob:
         data = job.to_dict()
         assert data["schema"] == QUEUE_JOB_SCHEMA
         assert Job.from_dict(json.loads(json.dumps(data))) == job
+
+    def test_to_dict_is_asdict_plus_schema_tag(self):
+        """to_dict reads the fields directly (no deep copy); the file
+        form is still exactly asdict's, for a fresh and a finished job."""
+        fresh, done = make_job(), make_job()
+        done.state = "done"
+        done.attempts = 1
+        done.started_unix = done.finished_unix = done.submitted_unix + 1.5
+        done.result = {"points": [{"rate": 0.01, "latency": 31.5}],
+                       "saturation_throughput": 0.01}
+        done.metrics = {"queue_wait_s": 0.0, "executed": 0, "cached": 1,
+                        "deduped": False, "retried": 0}
+        for job in (fresh, done):
+            data = job.to_dict()
+            assert data == {**dataclasses.asdict(job), "schema": QUEUE_JOB_SCHEMA}
+            assert Job.from_dict(json.loads(json.dumps(data))) == job
 
     def test_foreign_schema_rejected(self):
         data = make_job().to_dict()
@@ -68,6 +85,27 @@ class TestQueueBasics:
         job = queue.submit(make_job())
         with pytest.raises(ValueError, match="duplicate"):
             queue.submit(job)
+
+    def test_record_takes_a_finished_job_in_one_persist(self, tmp_path):
+        """A job answered on the submit path is persisted once, through
+        the instance's ``persist``, and never becomes pending."""
+        queue = JobQueue(tmp_path)
+        persisted = []
+        real_persist = queue.persist
+        queue.persist = lambda job: (persisted.append(job.state), real_persist(job))
+        job = make_job()
+        job.state = "done"
+        job.result = {"points": []}
+        assert queue.record(job) is job
+        assert persisted == ["done"]
+        assert queue.get(job.id) is job
+        assert queue.pending() == 0 and queue.claim_next() is None
+        with pytest.raises(ValueError, match="duplicate"):
+            queue.record(job)
+
+        reopened = JobQueue(tmp_path)
+        assert reopened.get(job.id) == job
+        assert reopened.pending() == 0 and reopened.recovered == 0
 
     def test_requeue_goes_to_front(self, tmp_path):
         queue = JobQueue(tmp_path)

@@ -6,8 +6,13 @@ Boots a real ``python -m repro serve`` subprocess, then drives it with
 
 1. submit a tiny sweep and stream its progress over SSE;
 2. re-submit the identical request and assert the warm run executes
-   **zero** simulations (tiered cache hit, visible in ``/v1/stats``);
-3. SIGTERM the server and assert it shuts down gracefully (exit 0).
+   **zero** simulations (tiered cache hit, visible in ``/v1/stats``),
+   never waited in the queue, and that its ``done`` event carried the
+   job record;
+3. SIGTERM the server and assert it shuts down gracefully (exit 0);
+4. boot a second server on the same directories and assert ``wait()``
+   on the finished cold job returns (its event history died with the
+   first process; the terminal event is rendered from the job file).
 
 Run:  PYTHONPATH=src python tools/service_smoke.py
 """
@@ -31,8 +36,8 @@ def fail(message: str) -> "None":
     sys.exit(1)
 
 
-def main() -> int:
-    tmp = tempfile.mkdtemp(prefix="repro-service-smoke-")
+def boot(tmp: str):
+    """Start ``python -m repro serve`` on ``tmp``; returns (proc, client)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH", "")) if p
@@ -43,13 +48,30 @@ def main() -> int:
          "--cache-dir", os.path.join(tmp, "cache"), "--tiered"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
     )
+    banner = proc.stdout.readline()
+    print(banner.rstrip())
+    match = re.search(r"http://([\d.]+):(\d+)", banner)
+    if not match:
+        proc.kill()
+        fail(f"could not parse listen address from: {banner!r}")
+    client = ServiceClient(
+        host=match.group(1), port=int(match.group(2)), timeout=60
+    )
+    return proc, client
+
+
+def shut_down(proc) -> None:
+    proc.send_signal(signal.SIGTERM)
+    out, _ = proc.communicate(timeout=60)
+    print(out.rstrip())
+    if proc.returncode != 0:
+        fail(f"server exited {proc.returncode} on SIGTERM")
+
+
+def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="repro-service-smoke-")
+    proc, client = boot(tmp)
     try:
-        banner = proc.stdout.readline()
-        print(banner.rstrip())
-        match = re.search(r"http://([\d.]+):(\d+)", banner)
-        if not match:
-            fail(f"could not parse listen address from: {banner!r}")
-        client = ServiceClient(host=match.group(1), port=int(match.group(2)))
         if not client.health():
             fail("healthz did not answer ok")
 
@@ -71,10 +93,16 @@ def main() -> int:
         points = client.result(job["id"])["result"]["points"]
         print(f"cold: executed={done['metrics']['executed']} points={len(points)}")
 
-        # 2. warm re-submit: zero simulations
+        # 2. warm re-submit: zero simulations, answered on the submit path
         warm = client.wait(client.submit_sweep(**SWEEP)["id"])
         if warm["metrics"]["executed"] != 0:
             fail(f"warm run executed {warm['metrics']['executed']}, expected 0")
+        if warm["metrics"]["queue_wait_s"] != 0:
+            fail(f"warm run waited {warm['metrics']['queue_wait_s']}s in the queue")
+        event, data = list(client.stream(warm["id"]))[-1]
+        if event != "done" or data.get("job") != warm:
+            fail(f"warm stream ended with {event!r} carrying {data.get('job')!r}, "
+                 "expected 'done' carrying the job record")
         stats = client.stats()
         if stats["totals"]["cached"] < len(SWEEP["rates"]):
             fail(f"stats report only {stats['totals']['cached']} cached points")
@@ -84,11 +112,15 @@ def main() -> int:
               f"l1_hits={stats['cache']['l1_hits']}")
 
         # 3. graceful shutdown
-        proc.send_signal(signal.SIGTERM)
-        out, _ = proc.communicate(timeout=60)
-        print(out.rstrip())
-        if proc.returncode != 0:
-            fail(f"server exited {proc.returncode} on SIGTERM")
+        shut_down(proc)
+
+        # 4. a new process: wait() on the finished job must still return
+        proc, client = boot(tmp)
+        again = client.wait(job["id"])
+        if again != done:
+            fail(f"after restart wait() returned {again!r}, expected {done!r}")
+        print(f"restart: wait({job['id']}) -> {again['state']}")
+        shut_down(proc)
         print("service-smoke: OK")
         return 0
     finally:
