@@ -18,12 +18,17 @@ history replays first and a finished job's stream always ends with its
 terminal event, so attaching after completion (or after a server
 restart) still terminates.  Server-side schema violations surface as
 :class:`ServiceError` carrying the server's actionable message.
+
+A client keeps its connections open between requests, so a script that
+runs job after job talks over one TCP connection.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import queue
+import weakref
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.service.schemas import SWEEP_REQUEST_SCHEMA, WORKLOAD_REQUEST_SCHEMA
@@ -31,7 +36,18 @@ from repro.service.schemas import SWEEP_REQUEST_SCHEMA, WORKLOAD_REQUEST_SCHEMA
 #: SSE events that end a job stream.
 TERMINAL_EVENTS = ("done", "failed")
 
+#: idle connections a client keeps for reuse; any more are closed.
+MAX_IDLE_CONNECTIONS = 4
+
 ProgressCb = Callable[[Dict[str, object]], None]
+
+
+def _close_idle(idle: queue.LifoQueue) -> None:
+    while True:
+        try:
+            idle.get_nowait().close()
+        except queue.Empty:
+            return
 
 
 class ServiceError(RuntimeError):
@@ -44,29 +60,73 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Blocking HTTP/JSON + SSE client for one sweep service endpoint."""
+    """Blocking HTTP/JSON + SSE client for one sweep service endpoint.
+
+    Each request borrows an idle kept-alive connection (or opens one)
+    and gives it back once its response is read to the end, so a
+    half-read :meth:`stream` never shares its socket with another call.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8787,
                  timeout: float = 300.0):
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._idle: queue.LifoQueue = queue.LifoQueue(MAX_IDLE_CONNECTIONS)
+        # a client dropped without close() closes its sockets all the same
+        weakref.finalize(self, _close_idle, self._idle)
+
+    def close(self) -> None:
+        """Close the idle connections; the client stays usable."""
+        _close_idle(self._idle)
 
     # ------------------------------------------------------------------ #
 
     def _open(self, method: str, path: str, body: Optional[Dict] = None):
-        conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        """Send one request; returns ``(conn, response)`` with the
+        response's head read — hand both to :meth:`_release` after.
+
+        A request on a reused connection that fails before any answer
+        (the server closed the connection while it sat idle) is sent
+        once more, on a new connection.
+        """
         payload = json.dumps(body).encode("utf-8") if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
-        conn.request(method, path, body=payload, headers=headers)
-        return conn, conn.getresponse()
+
+        def send(conn):
+            conn.request(method, path, body=payload, headers=headers)
+            return conn, conn.getresponse()
+
+        try:
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            pass
+        else:
+            try:
+                return send(conn)
+            except ConnectionError:  # http.client.RemoteDisconnected among them
+                conn.close()
+        return send(
+            http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        )
+
+    def _release(self, conn, response) -> None:
+        """Keep ``conn`` for the next request if ``response`` was read to
+        its end and the server keeps the connection open; else close it."""
+        if response.isclosed() and not response.will_close:
+            try:
+                self._idle.put_nowait(conn)
+                return
+            except queue.Full:
+                pass
+        conn.close()
 
     def _request(self, method: str, path: str, body: Optional[Dict] = None) -> Dict:
         conn, response = self._open(method, path, body)
         try:
             data = response.read()
         finally:
-            conn.close()
+            self._release(conn, response)
         payload = json.loads(data.decode("utf-8")) if data else {}
         if response.status >= 400:
             raise ServiceError(
@@ -133,12 +193,14 @@ class ServiceClient:
                     data.append(line[len("data:"):].strip())
                 elif not line and event is not None:
                     payload = json.loads("\n".join(data)) if data else {}
+                    if event in TERMINAL_EVENTS and not response.will_close:
+                        response.read()  # a finished job's sized response: its end
                     yield event, payload
                     if event in TERMINAL_EVENTS:
                         return
                     event, data = None, []
         finally:
-            conn.close()
+            self._release(conn, response)
 
     def wait(
         self, job_id: str, on_progress: Optional[ProgressCb] = None

@@ -18,7 +18,8 @@ trades CPU for disk without changing any result.
 Entries are one JSON file each, sharded by key prefix
 (``<root>/<key[:2]>/<key>.json``), written atomically (a temp file of the
 writer's own + ``os.replace``) so neither a killed campaign nor a second
-writer of the same key ever leaves a half-written entry.
+writer of the same key ever leaves a half-written entry; the temp file a
+killed writer leaves behind is collected by :meth:`ResultCache.gc`.
 A corrupt or unreadable entry is treated as a miss and deleted, so a
 damaged cache heals itself on the next run.
 """
@@ -149,10 +150,10 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
 
-    def _entry_paths(self) -> Iterator[Path]:
+    def _entry_paths(self, pattern: str = "*.json") -> Iterator[Path]:
         for shard in sorted(self.root.iterdir()) if self.root.is_dir() else ():
             if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
+                yield from sorted(shard.glob(pattern))
 
     def entries(self) -> List[Dict]:
         """Metadata of every readable entry (corrupt files are skipped)."""
@@ -187,7 +188,16 @@ class ResultCache:
 
         ``drop_all`` clears everything; otherwise only entries older than
         ``max_age_days`` (and unreadable/corrupt files) are removed.
+        Either way, temp files whose writer process no longer exists
+        (killed between write and rename) go too; a live writer's stay.
         """
+        for path in self._entry_paths("*.tmp"):
+            writer = path.name.split(".")[1].partition("-")[0]  # <key>.<pid>-<tid>.tmp
+            if writer.isdigit() and not _process_exists(int(writer)):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
         now = time.time()
         removed = 0
         for path in list(self._entry_paths()):
@@ -212,6 +222,19 @@ class ResultCache:
             if shard.is_dir() and not any(shard.iterdir()):
                 shard.rmdir()
         return removed
+
+
+def _process_exists(pid: int) -> bool:
+    """Whether ``pid`` names a process on this host."""
+    if os.name != "posix":
+        return True  # signal 0 is no probe there: keep what might be live
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # someone else's process
+        return True
+    return True
 
 
 def spec_summary(spec: Mapping) -> str:

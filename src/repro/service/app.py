@@ -31,8 +31,12 @@ A :class:`SweepService` is a long-running asyncio process that turns
   process pick them up.
 
 The HTTP layer is stdlib asyncio streams — no framework, no new
-dependencies; responses are ``Connection: close`` JSON (or an SSE
-stream), which every client including ``curl`` speaks.
+dependencies; responses are JSON (or an SSE stream), which every client
+including ``curl`` speaks.  A connection serves one request after
+another (HTTP/1.1 keep-alive); it closes when the client asks, after a
+request that cannot be framed, after a live SSE stream, or when idle
+for :data:`KEEPALIVE_IDLE_S`.  Every read is bounded by the module
+constants below, none of which is an option.
 """
 
 from __future__ import annotations
@@ -59,6 +63,35 @@ STATS_SCHEMA = "repro-service-stats/v1"
 
 #: largest request body read; a longer ``Content-Length`` is a 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: longest request line or header line read: a 400 or a 431 above it.
+MAX_LINE_BYTES = 8192
+
+#: most header lines one request may carry; more is a 431.
+MAX_HEADERS = 64
+
+#: seconds a request's line, headers and body may take to arrive once
+#: its first byte has; a 408 after that.
+REQUEST_TIMEOUT_S = 10.0
+
+#: seconds a kept-alive connection waits for its next request to start;
+#: then it is closed without a response.
+KEEPALIVE_IDLE_S = 30.0
+
+_REASONS = {
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    408: "Request Timeout", 409: "Conflict", 411: "Length Required",
+    413: "Payload Too Large", 431: "Request Header Fields Too Large",
+}
+
+
+class _Refused(Exception):
+    """A request that cannot be framed: answered with ``status``, after
+    which its connection cannot be trusted to carry another request."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _CacheMiss(Exception):
@@ -100,13 +133,17 @@ class SweepService:
         self.totals: Dict[str, float] = {
             "submitted": 0, "completed": 0, "failed": 0, "executed": 0,
             "cached": 0, "retried": 0, "deduped": 0, "requeued": 0,
-            "queue_wait_s": 0.0,
+            "queue_wait_s": 0.0, "connections": 0,
         }
         self._events: Dict[str, List[Tuple[str, Dict[str, object]]]] = {}
         self._subscribers: Dict[str, Set[asyncio.Queue]] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._worker_tasks: List[asyncio.Task] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        #: one task per open connection, and the connections among them
+        #: waiting for their next request (which stop() closes)
+        self._handlers: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
         self._wake: Optional[asyncio.Event] = None
         self._started_unix = time.time()
 
@@ -130,19 +167,28 @@ class SweepService:
         return self
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, requeue in-flight jobs."""
+        """Graceful shutdown: stop accepting, requeue in-flight jobs,
+        close connections — idle ones at once, the others once their
+        current response is written."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for task in self._worker_tasks:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
-        # wake any stream subscriber still waiting so connections close
+        # wake any stream subscriber still waiting so its connection closes
         for queues in self._subscribers.values():
             for queue in queues:
                 queue.put_nowait(None)
+        for writer in list(self._idle):
+            writer.close()
+        if self._handlers:
+            # what Server.wait_closed() waits for since Python 3.12.1 —
+            # bounded, since a client that stops reading stalls its handler
+            await asyncio.wait(list(self._handlers), timeout=REQUEST_TIMEOUT_S)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------- events
 
@@ -389,166 +435,281 @@ class SweepService:
     async def _handle_conn(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: its requests, one after another."""
+        self.totals["connections"] += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        requests = _RequestReader(reader)
         try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                await self._respond(writer, 400, {"error": "malformed request line"})
-                return
-            method, target = parts[0], parts[1]
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            declared = headers.get("content-length", "0")
-            if not (declared.isascii() and declared.isdigit()):
-                await self._respond(
-                    writer,
-                    400,
-                    {"error": f"Content-Length {declared!r} is not a "
-                              "non-negative integer"},
-                )
-                return
-            length = int(declared)
-            if length > MAX_BODY_BYTES:  # refused unread
-                await self._respond(
-                    writer,
-                    413,
-                    {"error": f"request body of {length} bytes exceeds the "
-                              f"limit of {MAX_BODY_BYTES}"},
-                )
-                return
-            body = await reader.readexactly(length)
-            await self._route(method, target.partition("?")[0], body, writer)
+            while await self._serve_request(requests, writer):
+                pass
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
+            self._handlers.discard(task)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
 
-    async def _route(
-        self, method: str, path: str, body: bytes, writer: asyncio.StreamWriter
+    async def _serve_request(
+        self, requests: "_RequestReader", writer: asyncio.StreamWriter
+    ) -> bool:
+        """Wait for, read and answer one request; True keeps the connection."""
+        if self._server is None or not self._server.is_serving():
+            return False  # stopping: this connection is done
+        if not requests.buffer:
+            # idle: closing — by this timer or by stop() — ends the read
+            # with b"".  No 408 here: the client could take it for the
+            # answer to the request it is about to send.
+            timer = asyncio.get_running_loop().call_later(
+                KEEPALIVE_IDLE_S, writer.close
+            )
+            self._idle.add(writer)
+            try:
+                arrived = await requests.wait()
+            finally:
+                self._idle.discard(writer)
+                timer.cancel()
+            if not arrived:
+                return False
+        try:
+            method, path, keep, body = await requests.request()
+        except asyncio.TimeoutError:
+            await self._refuse(
+                requests.reader, writer, 408,
+                f"request not complete within {REQUEST_TIMEOUT_S} s",
+            )
+            return False
+        except _Refused as refused:
+            await self._refuse(
+                requests.reader, writer, refused.status, str(refused)
+            )
+            return False
+        answer = self._route(method, path, body)
+        if isinstance(answer, Job):
+            return await self._stream_events(answer, writer, keep)
+        await self._respond(writer, *answer, keep=keep)
+        return keep
+
+    async def _refuse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        status: int,
+        message: str,
     ) -> None:
+        """Answer a request that cannot be framed and end the connection.
+
+        What the client still sends is read and dropped for up to
+        :data:`REQUEST_TIMEOUT_S` first: closing a socket with unread
+        input resets the connection, and the reset can destroy the
+        answer before the client reads it.
+        """
+        await self._respond(writer, status, {"error": message}, keep=False)
+        writer.write_eof()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(_read_to_eof(reader), REQUEST_TIMEOUT_S)
+
+    def _route(self, method: str, path: str, body: bytes):
+        """A request's answer: ``(status, payload)``, or the :class:`Job`
+        whose event stream was asked for."""
         segments = [s for s in path.split("/") if s]
         if method == "POST" and segments in (["v1", "sweeps"], ["v1", "workloads"]):
             kind = "sweep" if segments[1] == "sweeps" else "workload"
             try:
                 payload = json.loads(body.decode("utf-8")) if body else {}
             except ValueError:
-                await self._respond(writer, 400, {"error": "request body is not JSON"})
-                return
+                return 400, {"error": "request body is not JSON"}
             try:
                 job = self.submit(kind, payload)
             except JobSchemaError as exc:
-                await self._respond(writer, 400, {"error": str(exc)})
-                return
-            await self._respond(writer, 202, {"job": job.public()})
-            return
+                return 400, {"error": str(exc)}
+            return 202, {"job": job.public()}
         if method == "GET" and segments == ["v1", "stats"]:
-            await self._respond(writer, 200, self.stats())
-            return
+            return 200, self.stats()
         if method == "GET" and segments == ["v1", "healthz"]:
-            await self._respond(writer, 200, {"ok": True})
-            return
+            return 200, {"ok": True}
         if method == "GET" and segments == ["v1", "jobs"]:
-            await self._respond(
-                writer, 200, {"jobs": [j.public() for j in self.queue.jobs()]}
-            )
-            return
+            return 200, {"jobs": [j.public() for j in self.queue.jobs()]}
         if method == "GET" and len(segments) >= 3 and segments[:2] == ["v1", "jobs"]:
             job = self.queue.get(segments[2])
             if job is None:
-                await self._respond(
-                    writer, 404, {"error": f"no such job {segments[2]!r}"}
-                )
-                return
+                return 404, {"error": f"no such job {segments[2]!r}"}
             if len(segments) == 3:
-                await self._respond(writer, 200, {"job": job.public()})
-                return
+                return 200, {"job": job.public()}
             if segments[3] == "result":
                 if job.state != "done":
-                    await self._respond(
-                        writer,
-                        409,
-                        {"error": f"job {job.id} is {job.state}, not done"},
-                    )
-                    return
-                await self._respond(
-                    writer, 200, {"id": job.id, "result": job.result}
-                )
-                return
+                    return 409, {"error": f"job {job.id} is {job.state}, not done"}
+                return 200, {"id": job.id, "result": job.result}
             if segments[3] == "events":
-                await self._stream_events(job, writer)
-                return
-        await self._respond(
-            writer, 404, {"error": f"no route for {method} {path}"}
-        )
+                return job
+        return 404, {"error": f"no route for {method} {path}"}
 
     async def _respond(
-        self, writer: asyncio.StreamWriter, status: int, payload
+        self, writer: asyncio.StreamWriter, status: int, payload, keep: bool
     ) -> None:
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 409: "Conflict",
-                  413: "Payload Too Large"}.get(status, "OK")
         body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
+        writer.write(_head(status, "application/json", len(body), keep) + body)
         await writer.drain()
 
     async def _stream_events(
-        self, job: Job, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one SSE connection: replay history, then stream live.
+        self, job: Job, writer: asyncio.StreamWriter, keep: bool
+    ) -> bool:
+        """Serve a job's SSE stream; True keeps the connection.
 
-        A finished job's stream always ends with its terminal event,
-        whether or not this process holds any history for it.
+        History replays first.  A finished job's stream is one sized
+        response that ends with its terminal event — whether or not this
+        process holds any history for it — and leaves the connection
+        open.  A live job's stream runs until its terminal event (or
+        shutdown) and then closes the connection, which delimits it.
         """
-        chunks = [_SSE_HEAD]
-        chunks += [_sse(event, data) for event, data in self._events.get(job.id, ())]
-        terminal = job.state in TERMINAL_STATES
-        if terminal:
-            chunks.append(_sse(*_terminal_event(job)))
+        history = b"".join(
+            _sse(event, data) for event, data in self._events.get(job.id, ())
+        )
+        if job.state in TERMINAL_STATES:
+            body = history + _sse(*_terminal_event(job))
+            writer.write(_head(200, "text/event-stream", len(body), keep) + body)
+            await writer.drain()
+            return keep
         # snapshot + subscribe atomically (no await in between), so every
         # event lands in exactly one of history / live queue
         queue: asyncio.Queue = asyncio.Queue()
         subscribers = self._subscribers.setdefault(job.id, set())
         subscribers.add(queue)
         try:
-            writer.write(b"".join(chunks))  # one send for the whole replay
+            # one send for the whole replay
+            writer.write(_head(200, "text/event-stream", None, False) + history)
             await writer.drain()
-            while not terminal:
+            while True:
                 item = await queue.get()
                 if item is None:  # service shutting down
                     break
                 event, data = item
                 writer.write(_sse(event, data))
                 await writer.drain()
-                terminal = event in TERMINAL_STATES
-        except (ConnectionError, asyncio.CancelledError):
+                if event in TERMINAL_STATES:
+                    break
+        except ConnectionError:
             pass
         finally:
             subscribers.discard(queue)
             if not subscribers:
                 self._subscribers.pop(job.id, None)
+        return False
 
 
-_SSE_HEAD = (
-    b"HTTP/1.1 200 OK\r\n"
-    b"Content-Type: text/event-stream\r\n"
-    b"Cache-Control: no-cache\r\n"
-    b"Connection: close\r\n\r\n"
-)
+def _head(
+    status: int, content_type: str, length: Optional[int], keep: bool
+) -> bytes:
+    """A response's status line and headers; a body without ``length``
+    runs to the close of the connection."""
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS[status]}",
+        f"Content-Type: {content_type}",
+        "Cache-Control: no-cache",
+    ]
+    if length is not None:
+        lines.append(f"Content-Length: {length}")
+    if not keep:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+_READ_BYTES = 1 << 16
+
+
+class _RequestReader:
+    """Frames a connection's requests from the bytes it received.
+
+    A request is parsed from what has already arrived — usually all of
+    it, with no wait.  Only a request short of bytes waits for more,
+    through ``asyncio.wait_for`` until :data:`REQUEST_TIMEOUT_S` after
+    it began.  Bytes past one request stay for the next (pipelining).
+    """
+
+    def __init__(self, reader: asyncio.StreamReader):
+        self.reader = reader
+        self.buffer = bytearray()
+        self.deadline = 0.0  # loop time by which the current request is in
+
+    async def wait(self) -> bool:
+        """Wait, with no deadline, for bytes; False when the peer closed."""
+        data = await self.reader.read(_READ_BYTES)
+        self.buffer += data
+        return bool(data)
+
+    async def request(self) -> Tuple[str, str, bool, bytes]:
+        """The next request: ``(method, path, keep_alive, body)``.
+
+        Raises :class:`_Refused` for a request that cannot be framed and
+        ``asyncio.TimeoutError`` for one not complete in time.
+        """
+        self.deadline = asyncio.get_running_loop().time() + REQUEST_TIMEOUT_S
+        parts = (await self._line(400, "request line")).decode("latin-1").split()
+        if len(parts) < 2:
+            raise _Refused(400, "malformed request line")
+        method, target = parts[0], parts[1]
+        version = parts[2] if len(parts) > 2 else "HTTP/1.0"
+        headers: Dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):  # the headers, then the blank line
+            line = await self._line(431, "header line")
+            if line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Refused(431, f"more than {MAX_HEADERS} header lines")
+        if "transfer-encoding" in headers:
+            raise _Refused(411, "send the request body with a Content-Length")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Refused(
+                400,
+                f"Content-Length {declared!r} is not a non-negative integer",
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:  # refused unread
+            raise _Refused(
+                413,
+                f"request body of {length} bytes exceeds the limit of "
+                f"{MAX_BODY_BYTES}",
+            )
+        body = await self._exactly(length)
+        keep = (version == "HTTP/1.1"
+                and "close" not in headers.get("connection", "").lower())
+        return method, target.partition("?")[0], keep, body
+
+    async def _more(self) -> None:
+        timeout = self.deadline - asyncio.get_running_loop().time()
+        data = await asyncio.wait_for(self.reader.read(_READ_BYTES), timeout)
+        if not data:  # the client went away mid-request
+            raise asyncio.IncompleteReadError(bytes(self.buffer), None)
+        self.buffer += data
+
+    async def _line(self, status: int, what: str) -> bytes:
+        """The next line, newline included; one longer than
+        :data:`MAX_LINE_BYTES` is refused with ``status``."""
+        while True:
+            end = self.buffer.find(b"\n", 0, MAX_LINE_BYTES + 1)
+            if end >= 0:
+                line = bytes(self.buffer[:end + 1])
+                del self.buffer[:end + 1]
+                return line
+            if len(self.buffer) > MAX_LINE_BYTES:
+                raise _Refused(status, f"{what} longer than {MAX_LINE_BYTES} bytes")
+            await self._more()
+
+    async def _exactly(self, size: int) -> bytes:
+        while len(self.buffer) < size:
+            await self._more()
+        data = bytes(self.buffer[:size])
+        del self.buffer[:size]
+        return data
+
+
+async def _read_to_eof(reader: asyncio.StreamReader) -> None:
+    while await reader.read(_READ_BYTES):
+        pass
 
 
 def _sse(event: str, data: Dict[str, object]) -> bytes:

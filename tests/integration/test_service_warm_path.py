@@ -308,7 +308,8 @@ class TestContentLength:
         with BackgroundService(tmp_path / "queue") as svc:
             answer = raw_exchange(
                 svc.port,
-                f"POST /v1/sweeps HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode(),
+                f"POST /v1/sweeps HTTP/1.1\r\nConnection: close\r\n"
+                f"Content-Length: {value}\r\n\r\n".encode(),
             )
             assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
             error = json.loads(answer.partition(b"\r\n\r\n")[2])["error"]
@@ -320,7 +321,7 @@ class TestContentLength:
             # only the head is sent: an answer means the body was not awaited
             answer = raw_exchange(
                 svc.port,
-                "POST /v1/sweeps HTTP/1.1\r\n"
+                "POST /v1/sweeps HTTP/1.1\r\nConnection: close\r\n"
                 f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
             )
             assert answer.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
@@ -334,7 +335,7 @@ class TestContentLength:
             body = b" " * (MAX_BODY_BYTES - 2) + b"{}"
             answer = raw_exchange(
                 svc.port,
-                b"POST /v1/sweeps HTTP/1.1\r\n"
+                b"POST /v1/sweeps HTTP/1.1\r\nConnection: close\r\n"
                 + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
             )
             assert answer.startswith(b"HTTP/1.1 202 Accepted\r\n")

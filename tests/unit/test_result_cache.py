@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -146,6 +148,28 @@ class TestResultCache:
         entry["created_unix"] = 0  # 1970: ancient
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert cache.gc(max_age_days=1) == 1
+
+    def test_gc_collects_temp_files_of_dead_writers_only(self, tmp_path):
+        """A writer killed between write and rename leaves
+        ``<key>.<pid>-<tid>.tmp``; gc drops it once that pid is gone and
+        never touches the temp file of a writer still running."""
+        cache = ResultCache(tmp_path)
+        path = cache.put(cache_key(SPEC), SPEC, {"x": 1})
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)
+        dead = path.with_suffix(f".{child.pid}-1.tmp")
+        live = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
+        lone = tmp_path / "zz" / f"{'f' * 64}.{child.pid}-2.tmp"  # a shard of its own
+        lone.parent.mkdir()
+        for tmp in (dead, live, lone):
+            tmp.write_text('{"key": "half-writ', encoding="utf-8")
+
+        assert cache.gc(max_age_days=1) == 0  # entries are counted, temps not
+        assert not dead.exists() and not lone.exists()
+        assert not lone.parent.exists()  # its shard held nothing else
+        assert live.exists() and path.exists()
+        assert cache.gc(drop_all=True) == 1
+        assert live.exists()  # its writer may still rename it
 
     def test_gc_removes_corrupt_files(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -7,9 +7,11 @@ Boots a real ``python -m repro serve`` subprocess, then drives it with
 1. submit a tiny sweep and stream its progress over SSE;
 2. re-submit the identical request and assert the warm run executes
    **zero** simulations (tiered cache hit, visible in ``/v1/stats``),
-   never waited in the queue, and that its ``done`` event carried the
-   job record;
-3. SIGTERM the server and assert it shuts down gracefully (exit 0);
+   never waited in the queue, that its ``done`` event carried the job
+   record, and that it opened no TCP connection (``totals.connections``):
+   the client reuses the one it kept;
+3. SIGTERM the server while the client holds that idle connection and
+   assert it shuts down gracefully (exit 0) within a few seconds;
 4. boot a second server on the same directories and assert ``wait()``
    on the finished cold job returns (its event history died with the
    first process; the terminal event is rendered from the job file).
@@ -23,12 +25,16 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.client import ServiceClient  # noqa: E402
 
 SWEEP = {"rates": [0.02, 0.04], "warmup": 200, "measure": 600}
+
+#: seconds a SIGTERMed server may take to exit.
+SHUTDOWN_S = 5.0
 
 
 def fail(message: str) -> "None":
@@ -61,11 +67,15 @@ def boot(tmp: str):
 
 
 def shut_down(proc) -> None:
+    start = time.monotonic()
     proc.send_signal(signal.SIGTERM)
     out, _ = proc.communicate(timeout=60)
+    took = time.monotonic() - start
     print(out.rstrip())
     if proc.returncode != 0:
         fail(f"server exited {proc.returncode} on SIGTERM")
+    if took > SHUTDOWN_S:
+        fail(f"server took {took:.1f}s to exit on SIGTERM")
 
 
 def main() -> int:
@@ -93,7 +103,9 @@ def main() -> int:
         points = client.result(job["id"])["result"]["points"]
         print(f"cold: executed={done['metrics']['executed']} points={len(points)}")
 
-        # 2. warm re-submit: zero simulations, answered on the submit path
+        # 2. warm re-submit: zero simulations, answered on the submit path,
+        #    over the connection the cold leg left open
+        opened = client.stats()["totals"]["connections"]
         warm = client.wait(client.submit_sweep(**SWEEP)["id"])
         if warm["metrics"]["executed"] != 0:
             fail(f"warm run executed {warm['metrics']['executed']}, expected 0")
@@ -108,8 +120,12 @@ def main() -> int:
             fail(f"stats report only {stats['totals']['cached']} cached points")
         if stats["cache"]["l1_hits"] < len(SWEEP["rates"]):
             fail(f"tiered cache reports l1_hits={stats['cache']['l1_hits']}")
+        if stats["totals"]["connections"] != opened:
+            fail(f"warm leg opened {stats['totals']['connections'] - opened} "
+                 "connection(s); expected it to reuse the kept one")
         print(f"warm: executed=0 cached={warm['metrics']['cached']} "
-              f"l1_hits={stats['cache']['l1_hits']}")
+              f"l1_hits={stats['cache']['l1_hits']} "
+              f"connections={stats['totals']['connections']}")
 
         # 3. graceful shutdown
         shut_down(proc)
