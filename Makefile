@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check mc witness bench bench-e2e bench-figs bench-full examples examples-smoke service-smoke lint clean
+.PHONY: install test check mc witness bench bench-figs bench-full examples examples-smoke service-smoke lint clean
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -29,15 +29,9 @@ witness:
 	PYTHONPATH=src $(PYTHON) -m repro check --preset baseline --witness
 	PYTHONPATH=src $(PYTHON) -m repro mc --preset mc-2x1 --scheme none
 
-# smoke bench caps the saturated configs' measured window so the
-# identity cross-check stays fast; unset the knob for real timings
-bench:
-	PYTHONPATH=src REPRO_BENCH_SMOKE_CYCLES=250 \
-	$(PYTHON) -m repro bench --smoke --out -
-
 # the repo's benchmark (BENCHMARK.json): all four workloads, one
 # repetition each, correctness checks on; see benchmarks/e2e/README.md
-bench-e2e:
+bench:
 	python3 benchmarks/e2e/run.py --smoke
 
 bench-figs:

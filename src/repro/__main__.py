@@ -21,6 +21,7 @@ content-addressed result cache.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -170,20 +171,6 @@ def cmd_deadlock(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Run the core perf harness (vector vs legacy vs full-sweep)."""
-    from repro.bench import main as bench_main
-
-    argv = ["--repeat", str(args.repeat), "--out", args.out]
-    if args.smoke:
-        argv.append("--smoke")
-    if args.baseline_rev:
-        argv.extend(["--baseline-rev", args.baseline_rev])
-    if args.profile is not None:
-        argv.extend(["--profile", args.profile])
-    return bench_main(argv)
-
-
 def cmd_check(args) -> int:
     """Statically certify a preset under each scheme (see docs/analysis.md)."""
     from repro.analysis.cli import run_check
@@ -213,23 +200,30 @@ def cmd_area(args) -> int:
     return 0
 
 
-def _resolve_cache_dir(args) -> str:
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not cache_dir:
-        raise SystemExit(
-            "repro cache: no cache directory "
-            "(pass --cache-dir or set REPRO_CACHE_DIR)"
+def _max_age_days(text: str) -> float:
+    """argparse type: a finite, non-negative age (``-1`` would delete
+    every entry, ``nan`` none)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
         )
-    return os.path.expanduser(cache_dir)
+    return value
 
 
 def cmd_cache(args) -> int:
     """Inspect (``ls``) or garbage-collect (``gc``) the result cache."""
     import json
 
-    from repro.exp.cache import ResultCache
-
-    cache = ResultCache(_resolve_cache_dir(args))
+    cache = api.make_cache(args.cache_dir)
+    if cache is None:
+        raise SystemExit(
+            "repro cache: no cache directory "
+            "(pass --cache-dir or set REPRO_CACHE_DIR)"
+        )
     if args.action == "ls":
         rows = cache.entries()
         if args.json:
@@ -371,17 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the report as JSON (exit code still set)")
     p.set_defaults(fn=cmd_mc)
 
-    p = sub.add_parser("bench", help="core wall-clock perf harness (BENCH_core.json)")
-    p.add_argument("--smoke", action="store_true")
-    p.add_argument("--repeat", "--repeats", dest="repeat", type=int, default=3,
-                   metavar="N", help="timing repeats per mode (median-of-N)")
-    p.add_argument("--out", default="BENCH_core.json")
-    p.add_argument("--baseline-rev", default=None)
-    p.add_argument("--profile", nargs="?", const="uniform_r0.08",
-                   metavar="CONFIG", default=None,
-                   help="cProfile one config under the vector engine and exit")
-    p.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("cache", help="experiment result cache: ls / gc")
     p.add_argument("action", choices=("ls", "gc"))
     p.add_argument("--cache-dir", default=None,
@@ -389,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="ls: emit machine-readable JSON entries "
                         "(fingerprint, scheme, size, mtime)")
-    p.add_argument("--max-age-days", type=float, default=None,
+    p.add_argument("--max-age-days", type=_max_age_days, default=None,
                    help="gc: only remove entries older than this")
     p.add_argument("--all", action="store_true",
                    help="gc: remove every entry")

@@ -141,8 +141,8 @@ def result_fingerprint(result) -> Dict[str, object]:
 
     Two runs are bit-identical when their fingerprints are equal: the
     fingerprint folds in every summary metric, the deadlock outcome and
-    the scheme's own counters.  Used by the determinism regression tests
-    and by the perf harness to prove optimisations preserve results.
+    the scheme's own counters.  The determinism regression tests compare
+    them across engines to prove optimisations preserve results.
     """
     return {
         "cycles": result.cycles,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import warnings
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.noc.config import NocConfig
@@ -35,24 +34,6 @@ from repro.noc.router import Router, RouterKind
 
 if TYPE_CHECKING:  # noc is the substrate: it must not import the system
     from repro.topology.chiplet import SystemTopology  # layers above it
-
-#: set after the first vector-fallback notice so a sweep constructing
-#: hundreds of networks warns exactly once per process.
-_warned_vector_fallback = False
-
-
-def _warn_vector_fallback() -> None:
-    global _warned_vector_fallback
-    if _warned_vector_fallback:
-        return
-    _warned_vector_fallback = True
-    warnings.warn(
-        'NocConfig.datapath="vector" requested but numpy is unavailable; '
-        "running on the legacy scalar core (bit-identical results, "
-        "substantially slower wall-clock)",
-        RuntimeWarning,
-        stacklevel=4,
-    )
 
 
 class Network:
@@ -131,23 +112,20 @@ class Network:
             router.routing = self.routing
 
         #: struct-of-arrays vector datapath engine (``cfg.datapath``);
-        #: None under the legacy scalar core, the debug full sweep, or
-        #: when numpy is unavailable.  Built after scheme attachment so
-        #: the arrays can adopt scheme state (popup units).
+        #: None under the legacy scalar core or the debug full sweep.
+        #: Built after scheme attachment so the arrays can adopt scheme
+        #: state (popup units).
         self.vector = None
         #: the vector engine's FlitPool; None outside a vector network.
         #: NIs adopt freshly segmented flits into it and release them at
         #: ejection (the pool rows back the engine's batch paths).
         self.flit_pool = None
         if self.cfg.datapath == "vector" and not self.cfg.full_sweep:
-            from repro.noc.vector import HAVE_NUMPY, VectorEngine
+            from repro.noc.vector import VectorEngine
 
-            if HAVE_NUMPY:
-                self.vector = VectorEngine(self)
-                self.vector.adopt_scheme_state()
-                self.flit_pool = self.vector.pool
-            else:
-                _warn_vector_fallback()
+            self.vector = VectorEngine(self)
+            self.vector.adopt_scheme_state()
+            self.flit_pool = self.vector.pool
 
         #: opt-in invariant sanitizer (``cfg.sanitize``); read-only, so
         #: enabling it cannot change simulation results.

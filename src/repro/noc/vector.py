@@ -75,8 +75,9 @@ deadlocked phases) from paying per-cycle vector overhead:
 
 Results are bit-identical to the legacy engine and the full sweep; the
 determinism suite (``tests/integration/test_vector_determinism.py``)
-proves it over every bench config, every registered scheme and the
-fault-replay scenarios, and the pool suite adds tiny-vs-huge pool
+proves it over seven representative workloads (saturated synthetic,
+closed-loop coherence, deadlock recovery), every registered scheme and
+the fault-replay scenarios, and the pool suite adds tiny-vs-huge pool
 equivalence.
 """
 
@@ -84,17 +85,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-try:  # numpy is a hard dependency of the vector engine only: without it
-    import numpy as _np  # the network silently falls back to the legacy
-except ImportError:  # scalar core (see Network._build_datapath)
-    _np = None
+import numpy as _np
 
 from repro.noc.arbiter import RoundRobinArbiter
 from repro.noc.buffer import _NEVER, Credit
 from repro.noc.flit import Port
 from repro.noc.link import Link
-
-HAVE_NUMPY = _np is not None
 
 _N_PORTS = len(Port)
 _UP = int(Port.UP)
@@ -150,8 +146,6 @@ class FlitPool:
     )
 
     def __init__(self, initial: Optional[int] = None):
-        if _np is None:  # pragma: no cover - guarded by the engine
-            raise RuntimeError("FlitPool requires numpy")
         cap = int(initial) if initial is not None else POOL_INITIAL
         if cap < 1:
             raise ValueError("pool capacity must be >= 1 row")
@@ -234,8 +228,6 @@ class VectorEngine:
     """Per-network vectorized evaluation state (see module docstring)."""
 
     def __init__(self, net) -> None:
-        if _np is None:  # pragma: no cover - guarded by the caller
-            raise RuntimeError("vector datapath requires numpy")
         self.net = net
         self.n_vnets = net.cfg.n_vnets
         #: pooled flit payload columns (adopted at NI injection, released

@@ -10,19 +10,14 @@ flit landed in, which is exactly the class of bug this suite pins down.
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.metrics.stats import result_fingerprint  # noqa: E402
-from repro.noc.config import NocConfig  # noqa: E402
-from repro.sim.experiment import make_scheme  # noqa: E402
-from repro.sim.presets import table2_config, table2_upp_config  # noqa: E402
-from repro.sim.simulator import Simulation  # noqa: E402
-from repro.topology.chiplet import baseline_system  # noqa: E402
-from repro.traffic.adversarial import (  # noqa: E402
-    install_adversarial_traffic,
-    witness_flows,
-)
-from repro.traffic.synthetic import install_synthetic_traffic  # noqa: E402
+from repro.metrics.stats import result_fingerprint
+from repro.noc.config import NocConfig
+from repro.sim.experiment import make_scheme
+from repro.sim.presets import table2_config, table2_upp_config
+from repro.sim.simulator import Simulation
+from repro.topology.chiplet import baseline_system
+from repro.traffic.adversarial import install_adversarial_traffic, witness_flows
+from repro.traffic.synthetic import install_synthetic_traffic
 
 #: tiny forces recycling + several growth doublings mid-run; huge never
 #: recycles nor grows.  Both must fingerprint identically to the default.
@@ -56,8 +51,6 @@ def _run_recovery():
 def test_pool_size_is_unobservable(monkeypatch, runner):
     import repro.noc.vector as vector
 
-    if vector._np is None:
-        pytest.skip("vector engine unavailable")
     baseline, engine = runner()
     if engine is None:
         pytest.skip("vector datapath not selected (REPRO_DATAPATH override)")

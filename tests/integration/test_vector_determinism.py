@@ -1,16 +1,16 @@
-"""Vectorized datapath vs scalar engines: bit-identical results.
+"""Per-cycle engines: bit-identical results.
 
-The struct-of-arrays datapath (PR "vectorized datapath core",
-``NocConfig.datapath="vector"``) must be behaviourally unobservable:
-every configuration produces exactly the same
-:func:`repro.metrics.stats.result_fingerprint` under all three per-cycle
-engines — vector, the scalar active-set core (``datapath="legacy"``) and
-the exhaustive full sweep (``full_sweep=True``, the reference
-semantics).  Coverage mirrors and extends the active-set equivalence
-suite (``test_active_set_determinism.py``):
+The struct-of-arrays datapath (``NocConfig.datapath="vector"``) must be
+behaviourally unobservable: every configuration produces exactly the
+same :func:`repro.metrics.stats.result_fingerprint` under all three
+per-cycle engines — vector, the scalar active-set core
+(``datapath="legacy"``) and the exhaustive full sweep
+(``full_sweep=True``, the reference semantics).  Coverage:
 
-* every BENCH_core configuration (at smoke scale), via the bench
-  runners themselves so the benchmarked workloads are the tested ones;
+* seven representative workloads: the 8-chiplet large system under UPP
+  from low load to past saturation (uniform random and hotspot), a
+  closed-loop coherence workload run to completion, and a 1-VC
+  adversarial deadlock recovered by UPP;
 * every registered protection scheme under uniform-random load;
 * the UPP deadlock-recovery path and the unprotected deadlock outcome;
 * fault scenarios: statically injected fault sets and a mid-run
@@ -18,11 +18,11 @@ suite (``test_active_set_determinism.py``):
   checked down to per-router energy counters.
 """
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.bench import CONFIGS, MODES, engine_config
 from repro.metrics.stats import install_stats, result_fingerprint
 from repro.noc.config import NocConfig
 from repro.sim.experiment import make_scheme
@@ -31,24 +31,79 @@ from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system, build_system
 from repro.topology.faults import inject_faults
 from repro.traffic.adversarial import install_adversarial_traffic, witness_flows
+from repro.traffic.coherence import install_coherence_workload, workload_finished
 from repro.traffic.synthetic import install_synthetic_traffic
+from repro.traffic.workloads import get_workload
 
 SCHEMES = ("upp", "composable", "remote_control", "none")
 
-BENCH_CONFIGS = [name for name, _d, _r in CONFIGS]
+#: the three per-cycle engines; every ``run(mode)`` below takes one.
+MODES = ("vector", "legacy", "full_sweep")
 
 
-class TestBenchConfigEquivalence:
-    """Every BENCH_core workload, run through the bench harness's own
-    runners at smoke scale, is engine-invariant."""
+def engine_config(cfg: NocConfig, mode: str) -> NocConfig:
+    """``cfg`` with the engine of ``mode`` selected (the full sweep
+    always runs the scalar core)."""
+    return dataclasses.replace(
+        cfg,
+        datapath="vector" if mode == "vector" else "legacy",
+        full_sweep=mode == "full_sweep",
+    )
 
-    @pytest.mark.parametrize("name", BENCH_CONFIGS)
-    def test_bench_config_identical(self, name):
-        runner = next(r for n, _d, r in CONFIGS if n == name)
-        fps = {}
-        for mode in MODES:
-            _secs, result = runner(mode, True)
-            fps[mode] = result_fingerprint(result)
+
+def _synthetic(pattern, rate):
+    """Large system under UPP, 100 warm-up + 400 measured cycles."""
+
+    def run(mode):
+        cfg = engine_config(table2_config(), mode)
+        sim = Simulation(large_topology(), cfg, make_scheme("upp", table2_upp_config()))
+        install_synthetic_traffic(sim.network, pattern, rate)
+        return sim.run(100, 400)
+
+    return run
+
+
+def _coherence_canneal(mode):
+    """Closed-loop MESI canneal at scale 0.05, run to completion."""
+    cfg = engine_config(table2_config(), mode)
+    sim = Simulation(baseline_system(), cfg, make_scheme("upp", table2_upp_config()))
+    endpoints = install_coherence_workload(sim.network, get_workload("canneal", scale=0.05))
+    result = sim.run(
+        warmup=0,
+        measure=400_000,
+        stop_when=lambda net: workload_finished(endpoints),
+        max_cycles=400_000,
+    )
+    assert workload_finished(endpoints)
+    return result
+
+
+def _deadlock_recovery(mode):
+    """1-VC ``witness_flows`` deadlock recovered by UPP over 3000 cycles."""
+    cfg = engine_config(NocConfig(vcs_per_vnet=1), mode)
+    sim = Simulation(
+        baseline_system(), cfg, make_scheme("upp", table2_upp_config()),
+        watchdog_window=2500,
+    )
+    install_adversarial_traffic(sim.network, witness_flows(sim.network))
+    return sim.run(warmup=0, measure=3000)
+
+
+WORKLOADS = {
+    "uniform_r0.02": _synthetic("uniform_random", 0.02),
+    "uniform_r0.05": _synthetic("uniform_random", 0.05),
+    "uniform_r0.08": _synthetic("uniform_random", 0.08),
+    "uniform_r0.10": _synthetic("uniform_random", 0.10),
+    "hotspot_r0.06": _synthetic("hotspot", 0.06),
+    "coherence_canneal": _coherence_canneal,
+    "deadlock_recovery": _deadlock_recovery,
+}
+
+
+class TestWorkloadEquivalence:
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_workload_identical(self, name):
+        fps = {mode: result_fingerprint(WORKLOADS[name](mode)) for mode in MODES}
         assert fps["legacy"] == fps["vector"]
         assert fps["full_sweep"] == fps["vector"]
         assert fps["vector"]["summary"]["packets"] > 0

@@ -6,12 +6,11 @@ freed rows are recycled LIFO; exhaustion grows the arrays in place,
 preserving every live row — never corrupting or reassigning one.
 """
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.noc.flit import Packet  # noqa: E402
-from repro.noc.vector import POOL_COLUMNS, FlitPool  # noqa: E402
+from repro.noc.flit import Packet
+from repro.noc.vector import POOL_COLUMNS, FlitPool
 
 
 def make_flits(size=3, src=0, dst=1, vnet=0, created=7):

@@ -89,18 +89,3 @@ class TestCycleSemantics:
         net = Network(baseline_system(), NocConfig())
         assert net.drain(max_cycles=10)
 
-
-class TestVectorFallbackWarning:
-    def test_warns_exactly_once(self, monkeypatch):
-        import warnings
-
-        import repro.noc.network as netmod
-
-        monkeypatch.setattr(netmod, "_warned_vector_fallback", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            netmod._warn_vector_fallback()
-            netmod._warn_vector_fallback()
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, RuntimeWarning)
-        assert "legacy scalar core" in str(caught[0].message)

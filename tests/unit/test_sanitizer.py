@@ -111,8 +111,6 @@ class TestViolationsFire:
 
     def test_vector_mirror_divergence(self):
         net = sanitized_net(datapath="vector")
-        if net.vector is None:
-            pytest.skip("vector engine unavailable (no numpy)")
         vc = net.routers[0].in_ports[Port.LOCAL].vcs[0]
         net.vector.vc_len[vc._cell] = 5  # corrupt the mirror directly
         with pytest.raises(InvariantViolation, match="vector mirror"):
