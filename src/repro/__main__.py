@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-cache directory (default: REPRO_CACHE_DIR)")
     p.add_argument("--tiered", action="store_true",
                    help="front the cache dir with a tiered backend "
-                        "(local L1 over a remote-style L2 stub)")
+                        "(local L1 over an in-process memory L2)")
     p.add_argument("--jobs", type=int, default=None,
                    help="simulation worker processes per job (default serial)")
     p.add_argument("--workers", type=int, default=2,

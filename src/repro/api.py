@@ -37,7 +37,6 @@ from repro.core.config import UPPConfig
 from repro.exp.backends import (
     CacheBackend,
     MemoryBackend,
-    RemoteStubBackend,
     TieredBackend,
 )
 from repro.exp.cache import ResultCache
@@ -59,7 +58,6 @@ __all__ = [
     "JobSchemaError",
     "MemoryBackend",
     "Preset",
-    "RemoteStubBackend",
     "ResultCache",
     "SweepPoint",
     "TieredBackend",
@@ -144,16 +142,15 @@ def make_cache(
     cache_dir: Optional[Union[str, os.PathLike]] = None,
     *,
     tiered: bool = False,
-    remote: Optional[CacheBackend] = None,
 ) -> Optional[CacheBackend]:
     """A cache backend from a directory path (or ``REPRO_CACHE_DIR``).
 
     Plain by default: a sharded-dir :class:`ResultCache` rooted at
     ``cache_dir``, or None when no directory is configured.  With
     ``tiered=True`` the dir becomes the L1 of a
-    :class:`~repro.exp.backends.TieredBackend` over ``remote`` (an
-    in-process :class:`~repro.exp.backends.RemoteStubBackend` when not
-    given) — the sweep service's default shape.
+    :class:`~repro.exp.backends.TieredBackend` over an in-process
+    :class:`~repro.exp.backends.MemoryBackend` L2 — the sweep service's
+    default shape.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
@@ -162,7 +159,7 @@ def make_cache(
     local = ResultCache(os.path.expanduser(os.fspath(cache_dir)))
     if not tiered:
         return local
-    return TieredBackend(local, remote if remote is not None else RemoteStubBackend())
+    return TieredBackend(local, MemoryBackend())
 
 
 def make_runner(

@@ -14,7 +14,6 @@ See ``docs/api.md`` and ``docs/service.md`` for the full contract
 from repro.exp.backends import (
     CacheBackend,
     MemoryBackend,
-    RemoteStubBackend,
     TieredBackend,
 )
 from repro.exp.cache import CODE_VERSION, ResultCache, cache_key, git_revision
@@ -29,7 +28,6 @@ __all__ = [
     "JOB_SCHEMA",
     "JobSchemaError",
     "MemoryBackend",
-    "RemoteStubBackend",
     "ResultCache",
     "RunnerStats",
     "TieredBackend",

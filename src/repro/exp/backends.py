@@ -10,9 +10,8 @@ Three implementations ship:
   unchanged on disk (one atomic JSON file per entry, sharded by key
   prefix);
 * :class:`MemoryBackend` — a process-local dict, for tests and as the
-  *remote-style* stub (:class:`RemoteStubBackend`) that stands in for an
-  S3/redis tier: same keying, same entry shape, plus a round-trip
-  counter so tests can assert traffic went where it should;
+  in-process L2 that stands in for an S3/redis tier: same keying, same
+  entry shape;
 * :class:`TieredBackend` — a local L1 over a remote-style L2.  Reads
   probe L1 first; an L2 hit *fills* L1 on the way back; writes go
   through to both tiers.  Hit/miss/fill counters make the flow
@@ -137,34 +136,6 @@ class MemoryBackend:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-
-class RemoteStubBackend(MemoryBackend):
-    """Stand-in for a shared remote tier (S3/redis-style object store).
-
-    Functionally a :class:`MemoryBackend`; additionally counts
-    ``round_trips`` (every get/put, hit or miss) — the quantity a real
-    remote tier turns into latency and egress cost — so tests and the
-    service stats can show how much traffic the L1 absorbed.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.round_trips = 0
-
-    def get(self, key: str) -> Optional[Dict]:
-        self.round_trips += 1
-        return super().get(key)
-
-    def put(self, key: str, spec: Mapping, result: object) -> str:
-        self.round_trips += 1
-        return super().put(key, spec, result)
-
-    def stats(self) -> Dict[str, object]:
-        stats = super().stats()
-        stats["backend"] = "remote-stub"
-        stats["round_trips"] = self.round_trips
-        return stats
 
 
 class TieredBackend:

@@ -79,7 +79,8 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
 
     Raises :class:`JobSchemaError` with an actionable message on any
     violation: wrong/missing schema tag, unknown kind, missing field,
-    mis-typed field, or a field the schema does not define.
+    mis-typed field, a field the schema does not define, or a sweep
+    point's ``rate`` outside the traffic generator's range [0, 1].
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(
@@ -124,5 +125,10 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
         raise JobSchemaError(
             f"{kind} field {name!r} must be {label}, "
             f"got {type(value).__name__} ({value!r})"
+        )
+    if kind == "sweep_point" and not 0 <= spec["rate"] <= 1:  # NaN fails too
+        raise JobSchemaError(
+            f"sweep_point field 'rate' must be an injection rate in [0, 1], "
+            f"got {spec['rate']!r}"
         )
     return dict(spec)

@@ -41,17 +41,11 @@ class VirtualChannel:
         "_port",
         # --- vector-datapath mirror bindings (see repro.noc.vector) ---
         "_cell",   # flat (row, vc) index into the engine arrays; -1 unbound
-        "_alen",   # per-cell occupancy array
         "_adue",   # per-cell head SA-eligibility cycle array
-        "_aneed",  # per-cell head packet-size array (VCT admission)
         "_aop",    # per-cell cached route (int Port; -1 unrouted)
         "_aovc",   # per-cell allocated output VC (-1 before VCS)
         "_atag",   # per-cell popup_tagged array
         "_dly",    # owning router's SA eligibility delay
-        "_aring",  # per-cell ring of flit-pool rows in queue order
-        "_ahead",  # per-cell ring head offset array
-        "_adep",   # ring width (modulus for ring positions)
-        "_apool",  # the engine's FlitPool (adopts unpooled flits on push)
         "_aeng",   # owning engine (re-arms parked cells on local events)
     )
 
@@ -74,17 +68,11 @@ class VirtualChannel:
         # mirrored attributes below is reflected into the engine arrays so
         # array state stays truthful no matter which code path mutates it
         self._cell = -1
-        self._alen = None
         self._adue = None
-        self._aneed = None
         self._aop = None
         self._aovc = None
         self._atag = None
         self._dly = 0
-        self._aring = None
-        self._ahead = None
-        self._adep = 1
-        self._apool = None
         self._aeng = None
 
     # --- mirrored VC state -------------------------------------------- #
@@ -175,19 +163,8 @@ class VirtualChannel:
         if self._port is not None:
             self._port.occupancy += 1
         c = self._cell
-        if c >= 0:
-            self._alen[c] += 1
-            if len(self.queue) == 1:
-                self._adue[c] = cycle + self._dly
-                self._aneed[c] = flit.packet.size
-            pool = self._apool
-            row = flit._row
-            if row < 0:
-                row = pool.adopt(flit)
-            pool.arrival[row] = cycle
-            self._aring[
-                c, (self._ahead[c] + len(self.queue) - 1) % self._adep
-            ] = row
+        if c >= 0 and len(self.queue) == 1:
+            self._adue[c] = cycle + self._dly
 
     @mirror_hook
     def pop(self) -> Flit:
@@ -197,15 +174,8 @@ class VirtualChannel:
             self._port.occupancy -= 1
         c = self._cell
         if c >= 0:
-            self._alen[c] -= 1
-            self._ahead[c] = (self._ahead[c] + 1) % self._adep
             queue = self.queue
-            if queue:
-                head = queue[0]
-                self._adue[c] = head.arrival_cycle + self._dly
-                self._aneed[c] = head.packet.size
-            else:
-                self._adue[c] = _NEVER
+            self._adue[c] = queue[0].arrival_cycle + self._dly if queue else _NEVER
             eng = self._aeng
             if eng is not None and eng.parked[c]:
                 eng.unpark_cell(c)  # the parked head is gone

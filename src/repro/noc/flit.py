@@ -12,8 +12,6 @@ from enum import IntEnum
 from itertools import count
 from typing import Optional
 
-from repro.noc.mirror import mirror_hook
-
 
 class Port(IntEnum):
     """Router port directions.
@@ -193,13 +191,11 @@ class Flit:
         "popup",
         "is_header",
         "is_tail",
-        "_row",
     )
 
     #: class-level discriminator, cheaper than isinstance in the link hot path.
     is_signal = False
 
-    @mirror_hook
     def __init__(self, kind: FlitKind, packet: Packet, seq: int):
         self.kind = kind
         self.packet = packet
@@ -208,10 +204,6 @@ class Flit:
         #: True while this flit is being transmitted over a UPP popup
         #: circuit (buffer-bypassing, single-stage ST, highest priority).
         self.popup = False
-        #: row index in the vector engine's :class:`~repro.noc.vector.
-        #: FlitPool` (-1 outside a pooled network).  Owned by the pool:
-        #: only adopt/release may assign it.
-        self._row = -1
         #: precomputed category flags — flits are tested for header/tail
         #: far more often than they are created.
         self.is_header = kind is FlitKind.HEAD or kind is FlitKind.HEAD_TAIL

@@ -38,9 +38,7 @@ MIRRORED_ATTRS = frozenset(
     {
         # VirtualChannel scalar state + per-cell engine bindings
         "_out_port", "_out_vc", "_popup_tagged",
-        "_cell", "_alen", "_adue", "_aneed", "_aop", "_aovc", "_atag",
-        # VirtualChannel flit-pool ring bindings
-        "_aring", "_ahead", "_adep", "_apool", "_aeng",
+        "_cell", "_adue", "_aop", "_aovc", "_atag", "_aeng",
         # OutputPort credit/allocation state + engine bindings
         "credits", "vc_busy", "_obase", "_acred", "_abusy", "_aunpark",
         # Link delivery queues + engine bindings
@@ -49,7 +47,5 @@ MIRRORED_ATTRS = frozenset(
         "_batch_ok", "_cell_base", "_dst_vcs", "_dst_iport",
         "_dst_router", "_src_router", "_src_oport",
         "_dst_pt", "_src_ni", "_dst_ni",
-        # Flit pool-row handle (owned by FlitPool.adopt/release)
-        "_row",
     }
 )

@@ -116,16 +116,11 @@ class Network:
         #: Built after scheme attachment so the arrays can adopt scheme
         #: state (popup units).
         self.vector = None
-        #: the vector engine's FlitPool; None outside a vector network.
-        #: NIs adopt freshly segmented flits into it and release them at
-        #: ejection (the pool rows back the engine's batch paths).
-        self.flit_pool = None
         if self.cfg.datapath == "vector" and not self.cfg.full_sweep:
             from repro.noc.vector import VectorEngine
 
             self.vector = VectorEngine(self)
             self.vector.adopt_scheme_state()
-            self.flit_pool = self.vector.pool
 
         #: opt-in invariant sanitizer (``cfg.sanitize``); read-only, so
         #: enabling it cannot change simulation results.
@@ -504,8 +499,6 @@ class Network:
             "scalar_router_cycles": vec.scalar_router_cycles,
             "batched_flits": vec.batched_flits,
             "batched_deliveries": vec.batched_deliveries,
-            "pool_capacity": vec.pool.capacity,
-            "pool_grows": vec.pool.grows,
             "scalar_fallback_fraction": (
                 vec.scalar_cycles / cycles if cycles else 0.0
             ),

@@ -304,13 +304,7 @@ class NetworkInterface:
             self._stream_vc = self.rng.choice(free) if len(free) > 1 else free[0]
             self.out_credits.allocate(self._stream_vc, packet.pid)
             packet.injected_cycle = cycle
-            flits = packet.make_flits()
-            net = self._net
-            if net is not None and net.flit_pool is not None:
-                # pooled network: flits own an engine row from injection
-                # until NI ejection releases it
-                net.flit_pool.adopt_packet(flits)
-            self._stream_flits.extend(flits)
+            self._stream_flits.extend(packet.make_flits())
             self._inject_rr = (vnet + 1) % n_vnets
             return
 
@@ -374,8 +368,6 @@ class NetworkInterface:
         net = self._net
         if net is not None:
             net.note_flits_retired(packet.size)
-            if net.flit_pool is not None:
-                net.flit_pool.release_all(flits)
         if self.on_eject is not None:
             self.on_eject(packet)
 
@@ -454,8 +446,6 @@ class NetworkInterface:
         net = self._net
         if net is not None:
             net.note_flits_retired(packet.size)
-            if net.flit_pool is not None:
-                net.flit_pool.release_all(flits)
         if self.on_eject is not None:
             self.on_eject(packet)
 

@@ -4,10 +4,10 @@ The scalar core spends its saturated-load cycles scanning Python objects:
 every awake router walks its input VCs, re-derives head eligibility,
 checks downstream credits and free output VCs, and only then discovers
 that most heads cannot move.  This engine hoists exactly that
-bookkeeping — VC occupancy, head SA-eligibility, cached routes, output
-credits/allocation and link delivery timers — into preallocated numpy
-arrays indexed by ``(router, port, vc)`` and evaluates the whole network
-with a handful of batch operations per cycle.
+bookkeeping — head SA-eligibility, cached routes, output credits/
+allocation and link delivery timers — into preallocated numpy arrays
+indexed by ``(router, port, vc)`` and evaluates the whole network with
+a handful of batch operations per cycle.
 
 Array layout (built once from the topology at :class:`~repro.noc.network.
 Network` construction):
@@ -16,40 +16,36 @@ Network` construction):
   ascending router id and port-insertion order — i.e. exactly the order
   the scalar switch-allocation sweep visits them, so iterating granted
   rows in index order reproduces the legacy nomination order;
-* one **cell** per ``(row, vc)``: ``vc_len``, ``head_due`` (arrival +
-  SA-eligibility delay), ``head_need`` (packet size, for VCT admission),
-  ``out_port`` / ``out_vc`` route mirrors, the ``popup_tagged`` flag,
-  and a **row ring** holding the queue's flit-pool rows in order;
+* one **cell** per ``(row, vc)``: ``head_due`` (arrival +
+  SA-eligibility delay, ``_NEVER`` when empty), the ``out_port`` /
+  ``out_vc`` route mirrors and the ``popup_tagged`` flag;
 * one **output row** per ``(router, output port)``: ``credits`` and
   ``vc_busy``, kept truthful by write-through hooks in the owning
   :class:`~repro.noc.buffer.OutputPort`'s three mutation sites
   (``allocate`` / ``consume_credit`` / ``return_credit``) while every
   reader keeps plain Python lists;
-* one **slot** per link holding its earliest pending delivery cycle;
-* one :class:`FlitPool` holding every in-flight flit's payload fields
-  (kind, pid, seq, src/dst, vnet, size, arrival cycle, header/tail and
-  popup flags) in parallel arrays with free-list recycling.
+* one **slot** per link holding its earliest pending delivery cycle.
 
-Flit *objects* survive as the authoritative state inside the per-VC and
-per-link deques — the pool row is a mirror the batch paths read, and the
-``Flit`` view is what every scalar consumer (NI ejection, scheme-special
-routers, sanitizer deep sweeps, witness replay) materializes through
-``pool.view(row)`` / the deque itself.  The per-cycle evaluation is:
+Flit objects in the per-VC and per-link deques are the only flit
+state; the arrays mirror just what the batch verdicts read.  After a
+pop the batch paths already hold the VC's deque, so the next head's
+eligibility is read straight from ``queue[0]``.  The per-cycle
+evaluation is:
 
 1. deliver every link whose due-cycle has arrived: batch-eligible router
-   links drain straight into the destination VC arrays (one vectorized
-   epilogue updates occupancy, ring, head eligibility and credit
-   mirrors); signals, popup flits and links touching a pinned-scalar
-   router reuse the scalar drain verbatim;
+   links drain straight into the destination VC deques (one vectorized
+   epilogue updates head eligibility and credit mirrors); signals,
+   popup flits and links touching a pinned-scalar router reuse the
+   scalar drain verbatim;
 2. compute the candidate/blocked/request masks for every cell at once;
 3. hand rows with requests to the routers' *real* round-robin arbiters,
    in ascending router order interleaved with the routers that need the
    full scalar step (live signal/popup/boundary-buffer state) — so
    arbiter pointers and RNG draws advance in exactly the legacy order —
-   then execute every winner in one batched traversal: pops, ring
-   advance, credit consumption, link dispatch and upstream credit
-   return are applied with per-item list operations plus one fancy-
-   indexed array update per column instead of a Python call per flit.
+   then execute every winner in one batched traversal: pops, credit
+   consumption, link dispatch and upstream credit return are applied
+   with per-item list operations plus one fancy-indexed array update
+   per column instead of a Python call per flit.
 
 The active-set machinery from the event-driven core survives as the
 *controller*: its wake plumbing decides which routers still carry
@@ -76,14 +72,13 @@ deadlocked phases) from paying per-cycle vector overhead:
 Results are bit-identical to the legacy engine and the full sweep; the
 determinism suite (``tests/integration/test_vector_determinism.py``)
 proves it over seven representative workloads (saturated synthetic,
-closed-loop coherence, deadlock recovery), every registered scheme and
-the fault-replay scenarios, and the pool suite adds tiny-vs-huge pool
-equivalence.
+closed-loop coherence, deadlock recovery), every registered scheme, the
+fault-replay scenarios and state planted into buffers before a run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as _np
 
@@ -96,10 +91,6 @@ _N_PORTS = len(Port)
 _UP = int(Port.UP)
 _UP2 = int(Port.UP2)
 
-#: default initial :class:`FlitPool` capacity (rows).  Tests shrink it to
-#: force constant recycling/growth; results are row-assignment-invariant.
-POOL_INITIAL = 1024
-
 #: candidate-set size at or below which switch allocation evaluates the
 #: verdicts through per-item object/list reads instead of the batched
 #: numpy chain — the same fixed-per-op-overhead trade the scalar
@@ -107,132 +98,12 @@ POOL_INITIAL = 1024
 #: parking keeps lightly-loaded and deadlocked phases under this size.
 SCALAR_EVAL_MAX = 24
 
-#: pool column names, in (name, dtype) order.  Single source of truth for
-#: allocation, growth and the sanitizer's coherence sweep.
-POOL_COLUMNS = (
-    ("kind", "int64"),
-    ("pid", "int64"),
-    ("seq", "int64"),
-    ("src", "int64"),
-    ("dst", "int64"),
-    ("vnet", "int64"),
-    ("size", "int64"),
-    ("arrival", "int64"),
-    ("is_header", "bool"),
-    ("is_tail", "bool"),
-    ("popup", "bool"),
-)
-
-
-class FlitPool:
-    """Preallocated struct-of-arrays storage for in-flight flits.
-
-    Each adopted flit owns one **row** across the parallel columns; the
-    row index is stamped into ``flit._row`` and recycled through a free
-    list when the flit leaves the network (NI ejection).  Growth doubles
-    the arrays while preserving every live row, so batch code may cache
-    row *indices* across cycles — but never array *references* across an
-    adopt call (columns are reallocated on growth; re-read them from the
-    pool).  The ``obj`` column keeps the authoritative ``Flit`` object,
-    making ``view(row)`` the lazy materialization point.
-    """
-
-    __slots__ = tuple(name for name, _ in POOL_COLUMNS) + (
-        "capacity",
-        "obj",
-        "_free",
-        "grows",
-        "adopted",
-    )
-
-    def __init__(self, initial: Optional[int] = None):
-        cap = int(initial) if initial is not None else POOL_INITIAL
-        if cap < 1:
-            raise ValueError("pool capacity must be >= 1 row")
-        self.capacity = cap
-        for name, dtype in POOL_COLUMNS:
-            setattr(self, name, _np.zeros(cap, dtype))
-        #: authoritative Flit object per live row (None when free).
-        self.obj: List = [None] * cap
-        # LIFO free list: hot rows are reused first (cache-friendly).
-        self._free: List[int] = list(range(cap - 1, -1, -1))
-        self.grows = 0
-        self.adopted = 0
-
-    @property
-    def live(self) -> int:
-        """Rows currently owned by an in-flight flit."""
-        return self.capacity - len(self._free)
-
-    def adopt(self, flit) -> int:
-        """Assign a pool row to ``flit`` and mirror its payload fields."""
-        free = self._free
-        if not free:
-            self._grow()
-            free = self._free
-        row = free.pop()
-        packet = flit.packet
-        self.kind[row] = flit.kind
-        self.pid[row] = packet.pid
-        self.seq[row] = flit.seq
-        self.src[row] = packet.src
-        self.dst[row] = packet.dst
-        self.vnet[row] = packet.vnet
-        self.size[row] = packet.size
-        self.arrival[row] = flit.arrival_cycle
-        self.is_header[row] = flit.is_header
-        self.is_tail[row] = flit.is_tail
-        self.popup[row] = flit.popup
-        self.obj[row] = flit
-        flit._row = row
-        self.adopted += 1
-        return row
-
-    def adopt_packet(self, flits) -> None:
-        """Adopt every flit of a freshly segmented packet."""
-        for flit in flits:
-            self.adopt(flit)
-
-    def release(self, flit) -> None:
-        """Return a flit's row to the free list (NI ejection)."""
-        row = flit._row
-        if row < 0:
-            return
-        flit._row = -1
-        self.obj[row] = None
-        self._free.append(row)
-
-    def release_all(self, flits) -> None:
-        for flit in flits:
-            self.release(flit)
-
-    def view(self, row: int):
-        """The authoritative ``Flit`` object behind one live row."""
-        return self.obj[row]
-
-    def _grow(self) -> None:
-        """Double capacity, preserving every live row in place."""
-        old = self.capacity
-        new = old * 2
-        for name, dtype in POOL_COLUMNS:
-            grown = _np.zeros(new, dtype)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        self.obj.extend([None] * old)
-        self._free.extend(range(new - 1, old - 1, -1))
-        self.capacity = new
-        self.grows += 1
-
-
 class VectorEngine:
     """Per-network vectorized evaluation state (see module docstring)."""
 
     def __init__(self, net) -> None:
         self.net = net
         self.n_vnets = net.cfg.n_vnets
-        #: pooled flit payload columns (adopted at NI injection, released
-        #: at ejection; see FlitPool).
-        self.pool = FlitPool()
         self._build_rows(net)
         self._build_links(net)
         #: interposer routers carrying a popup unit (filled by ``adopt_
@@ -296,9 +167,7 @@ class VectorEngine:
         n_rows = len(self.row_router)
         n_cells = n_rows * vmax
 
-        self.vc_len = np.zeros(n_cells, np.int64)
         self.head_due = np.full(n_cells, _NEVER, np.int64)
-        self.head_need = np.ones(n_cells, np.int64)
         self.out_port_a = np.full(n_cells, -1, np.int64)
         self.out_vc_a = np.full(n_cells, -1, np.int64)
         self.tagged = np.zeros(n_cells, bool)
@@ -334,16 +203,6 @@ class VectorEngine:
             np.int64,
         )
 
-        # ---- per-cell row ring (flit-pool rows in queue order) ----
-        dmax = 1
-        for r in routers:
-            for iport in r.in_ports.values():
-                for vc in iport.vcs:
-                    dmax = max(dmax, vc.depth)
-        self.ring_dep = dmax
-        self.ring2d = np.zeros((n_cells, dmax), np.int64)
-        self.ring_head = np.zeros(n_cells, np.int64)
-
         # ---- event-driven blocked-candidate parking ----
         #: cells whose last verdict was "blocked" and for which no event
         #: that could change the verdict has fired since.  Parked cells
@@ -362,7 +221,6 @@ class VectorEngine:
         #: would re-derive them), so the detectors see no spurious drop.
         self._stall_parked: Dict[int, Tuple[object, int]] = {}
 
-        pool = self.pool
         for row, (r, iport) in enumerate(zip(self.row_router, self.row_iport)):
             is_vct = r.cfg.flow_control == "vct"
             for vc in iport.vcs:
@@ -378,31 +236,18 @@ class VectorEngine:
                 # bind the VC's mirror slots: push/pop and the mirrored
                 # attribute setters keep the arrays truthful from now on
                 vc._cell = cell
-                vc._alen = self.vc_len
                 vc._adue = self.head_due
-                vc._aneed = self.head_need
                 vc._aop = self.out_port_a
                 vc._aovc = self.out_vc_a
                 vc._atag = self.tagged
                 vc._dly = r._sa_delay
-                vc._aring = self.ring2d
-                vc._ahead = self.ring_head
-                vc._adep = dmax
-                vc._apool = pool
                 vc._aeng = self
                 # adopt any pre-existing buffered state (networks are
                 # normally empty here; tests may plant flits first)
-                self.vc_len[cell] = len(vc.queue)
                 if vc.queue:
-                    head = vc.queue[0]
-                    self.head_due[cell] = head.arrival_cycle + r._sa_delay
-                    self.head_need[cell] = head.packet.size
-                    for i, flit in enumerate(vc.queue):
-                        frow = flit._row
-                        if frow < 0:
-                            frow = pool.adopt(flit)
-                        pool.arrival[frow] = flit.arrival_cycle
-                        self.ring2d[cell, i % dmax] = frow
+                    self.head_due[cell] = (
+                        vc.queue[0].arrival_cycle + r._sa_delay
+                    )
                 if vc._out_port is not None:
                     self.out_port_a[cell] = int(vc._out_port)
                 self.out_vc_a[cell] = vc._out_vc
@@ -527,29 +372,14 @@ class VectorEngine:
             self.parked[lo:hi] = False
             for cell in [c for c in self._stall_parked if lo <= c < hi]:
                 del self._stall_parked[cell]
-        pool = self.pool
-        dep = self.ring_dep
         for iport in r.in_ports.values():
             for vc in iport.vcs:
                 cell = vc._cell
                 if cell < 0:  # pinned-scalar routers carry no mirrors
                     continue
-                if len(vc.queue) > dep:
-                    dep = self._grow_ring(len(vc.queue))
-                self.vc_len[cell] = len(vc.queue)
-                if vc.queue:
-                    head = vc.queue[0]
-                    self.head_due[cell] = head.arrival_cycle + vc._dly
-                    self.head_need[cell] = head.packet.size
-                else:
-                    self.head_due[cell] = _NEVER
-                self.ring_head[cell] = 0
-                for i, flit in enumerate(vc.queue):
-                    frow = flit._row
-                    if frow < 0:
-                        frow = pool.adopt(flit)
-                    pool.arrival[frow] = flit.arrival_cycle
-                    self.ring2d[cell, i] = frow
+                self.head_due[cell] = (
+                    vc.queue[0].arrival_cycle + vc._dly if vc.queue else _NEVER
+                )
                 op = vc._out_port
                 self.out_port_a[cell] = -1 if op is None else int(op)
                 self.out_vc_a[cell] = vc._out_vc
@@ -605,33 +435,6 @@ class VectorEngine:
             self._stall_parked.pop(cell, None)
             self._static = False
 
-    def _grow_ring(self, need: int) -> int:
-        """Widen the row ring (planted queues may exceed the configured VC
-        depth).  Every cell's entries are re-canonicalized to offset 0 so
-        the modular position mapping stays valid."""
-        np = _np
-        old = self.ring_dep
-        new = old
-        while new < need:
-            new *= 2
-        grown = np.zeros((self.ring2d.shape[0], new), np.int64)
-        lens = self.vc_len
-        heads = self.ring_head
-        for cell in np.nonzero(lens > 0)[0].tolist():
-            n = int(lens[cell])
-            h = int(heads[cell])
-            for i in range(n):
-                grown[cell, i] = self.ring2d[cell, (h + i) % old]
-        self.ring2d = grown
-        self.ring_head[:] = 0
-        self.ring_dep = new
-        for vc in self.cell_vc:
-            if vc is not None and vc._cell >= 0:
-                vc._aring = grown
-                vc._ahead = self.ring_head
-                vc._adep = new
-        return new
-
     def verify_mirrors(self) -> List[str]:
         """Cross-check every mirror array against its backing objects.
 
@@ -641,8 +444,6 @@ class VectorEngine:
         and reports any divergence (empty list = coherent)."""
         problems: List[str] = []
         vmax = self.vmax
-        pool = self.pool
-        dep = self.ring_dep
         for row, iport in enumerate(self.row_iport):
             r = self.row_router[row]
             port = self.row_port[row]
@@ -651,11 +452,6 @@ class VectorEngine:
                     continue
                 cell = row * vmax + vc.vc_index
                 where = f"router {r.rid} {port.name} vc{vc.vc_index}"
-                if self.vc_len[cell] != len(vc.queue):
-                    problems.append(
-                        f"{where}: vc_len={self.vc_len[cell]} "
-                        f"!= {len(vc.queue)}"
-                    )
                 due = (
                     vc.queue[0].arrival_cycle + vc._dly if vc.queue else _NEVER
                 )
@@ -700,36 +496,6 @@ class VectorEngine:
                             problems.append(
                                 f"{where}: parked but head is movable"
                             )
-                head = int(self.ring_head[cell])
-                for i, flit in enumerate(vc.queue):
-                    frow = flit._row
-                    if frow < 0:
-                        problems.append(f"{where}[{i}]: buffered flit unpooled")
-                        continue
-                    ring_row = int(self.ring2d[cell, (head + i) % dep])
-                    if ring_row != frow:
-                        problems.append(
-                            f"{where}[{i}]: ring row {ring_row} != {frow}"
-                        )
-                    if pool.obj[frow] is not flit:
-                        problems.append(
-                            f"{where}[{i}]: pool row {frow} object mismatch"
-                        )
-                    if pool.arrival[frow] != flit.arrival_cycle:
-                        problems.append(
-                            f"{where}[{i}]: pool arrival "
-                            f"{pool.arrival[frow]} != {flit.arrival_cycle}"
-                        )
-                    if (
-                        pool.pid[frow] != flit.packet.pid
-                        or pool.seq[frow] != flit.seq
-                        or pool.size[frow] != flit.packet.size
-                        or bool(pool.is_tail[frow]) != flit.is_tail
-                    ):
-                        problems.append(
-                            f"{where}[{i}]: pool columns diverge from "
-                            f"{flit!r}"
-                        )
         for r in self.net.routers.values():
             for port, oport in r.out_ports.items():
                 b = oport._obase
@@ -796,7 +562,6 @@ class VectorEngine:
             for oport in r.out_ports.values():
                 oport._obase = -1
             lo, hi = self.cell_span[r.rid]
-            self.vc_len[lo:hi] = 0
             self.head_due[lo:hi] = _NEVER
             self.tagged[lo:hi] = False
             self.parked[lo:hi] = False
@@ -816,8 +581,8 @@ class VectorEngine:
         Batch-eligible router links (no pinned-scalar endpoint) drain
         inline: flit objects are appended to the destination VC deques
         with the same protocol checks as :meth:`VirtualChannel.push`,
-        while all array bookkeeping — occupancy, ring, head eligibility,
-        credit mirrors — is applied in one vectorized epilogue.  Signals
+        while the array bookkeeping — head eligibility of VCs that were
+        empty, credit mirrors — is applied in one vectorized epilogue.  Signals
         and popup flits keep the scalar receive path (their side effects
         are scheme state), as do NI links and pinned routers via the
         scalar :meth:`Network._deliver_one`."""
@@ -835,10 +600,9 @@ class VectorEngine:
         links = self.links_by_order
         net = self.net
         deliver_one = net._deliver_one
-        pool = self.pool
         router_kind = Link.ROUTER
+        # cells whose VC was empty: their new head needs a due cycle
         cells_l: List[int] = []
-        rows_l: List[int] = []
         cred_l: List[int] = []
         nact = 0  # delivered flits (network activity), all batched links
         ntrav = 0  # router-to-router subset (link_traversals)
@@ -901,11 +665,8 @@ class VectorEngine:
                                 )
                             flit.arrival_cycle = cycle
                             queue.append(flit)
-                            frow = flit._row
-                            if frow < 0:
-                                frow = pool.adopt(flit)
-                            cells_l.append(link._cell_base + out_vc)
-                            rows_l.append(frow)
+                            if len(queue) == 1:
+                                cells_l.append(link._cell_base + out_vc)
                             pushed += 1
                         nact += npop
                         if link.kind == router_kind:
@@ -959,36 +720,13 @@ class VectorEngine:
         if cells_l:
             if len(cells_l) <= 6:
                 # scalar stores beat fancy-indexing overhead at this size
-                arrival = pool.arrival
-                vc_len = self.vc_len
-                ring_head = self.ring_head
-                ring2d = self.ring2d
                 head_due = self.head_due
-                head_need = self.head_need
                 cell_dly = self.cell_dly
-                size = pool.size
-                dep = self.ring_dep
-                for c, rrow in zip(cells_l, rows_l):
-                    arrival[rrow] = cycle
-                    lb = vc_len[c]
-                    ring2d[c, (ring_head[c] + lb) % dep] = rrow
-                    vc_len[c] = lb + 1
-                    if lb == 0:
-                        head_due[c] = cycle + cell_dly[c]
-                        head_need[c] = size[rrow]
+                for c in cells_l:
+                    head_due[c] = cycle + cell_dly[c]
             else:
                 ca = np.asarray(cells_l)
-                ra = np.asarray(rows_l)
-                pool.arrival[ra] = cycle
-                len_before = self.vc_len[ca]
-                pos = (self.ring_head[ca] + len_before) % self.ring_dep
-                self.ring2d[ca, pos] = ra
-                self.vc_len[ca] = len_before + 1
-                first = len_before == 0
-                if first.any():
-                    cf = ca[first]
-                    self.head_due[cf] = cycle + self.cell_dly[cf]
-                    self.head_need[cf] = pool.size[ra[first]]
+                self.head_due[ca] = cycle + self.cell_dly[ca]
         if cred_l:
             # one credit per (port, vc) per cycle by construction (a link
             # carries at most one credit per send cycle), so plain fancy
@@ -1484,7 +1222,6 @@ class VectorEngine:
         own state and its outgoing links — state no other router reads
         within the same cycle."""
         np = _np
-        pool = self.pool
         vmax = self.vmax
         cell_vc = self.cell_vc
         row_router = self.row_router
@@ -1496,7 +1233,8 @@ class VectorEngine:
         flagged = self._flags_dirty
         n = len(cells)
         self.batched_flits += n
-        rows_l: List[int] = [0] * n
+        # head SA-eligibility cycle of each winner's VC after its pop
+        dues_l: List[int] = [0] * n
         orows_l: List[int] = [0] * n
         tails: List[int] = []
         # below ~8 winners the fancy-indexed epilogue costs more in numpy
@@ -1509,12 +1247,10 @@ class VectorEngine:
             cell = cells[i]
             ovc = ovcs[i]
             vc = cell_vc[cell]
-            flit = vc.queue.popleft()
+            queue = vc.queue
+            flit = queue.popleft()
             vc._port.occupancy -= 1
-            frow = flit._row
-            if frow < 0:
-                frow = pool.adopt(flit)
-            rows_l[i] = frow
+            dues_l[i] = queue[0].arrival_cycle + vc._dly if queue else _NEVER
             orow = outrow_flat_l[cell_rbase_l[cell] + ops[i]]
             orows_l[i] = orow
             oport = orow_oport[orow]
@@ -1564,28 +1300,10 @@ class VectorEngine:
                     ldues.append(cdue)
         if small:
             # ---- scalar epilogue (few winners) ----
-            vc_len = self.vc_len
-            ring_head = self.ring_head
-            ring2d = self.ring2d
             head_due = self.head_due
-            head_need = self.head_need
-            cell_dly = self.cell_dly
-            arrival = pool.arrival
-            size = pool.size
-            dep = self.ring_dep
             credits_flat = self.credits_flat
             for i in range(n):
-                cell = cells[i]
-                rem = vc_len[cell] - 1
-                vc_len[cell] = rem
-                nh = (ring_head[cell] + 1) % dep
-                ring_head[cell] = nh
-                if rem > 0:
-                    nr = ring2d[cell, nh]
-                    head_due[cell] = arrival[nr] + cell_dly[cell]
-                    head_need[cell] = size[nr]
-                else:
-                    head_due[cell] = _NEVER
+                head_due[cells[i]] = dues_l[i]
                 credits_flat[orows_l[i] * vmax + ovcs[i]] -= 1
             if tails:
                 out_port_a = self.out_port_a
@@ -1606,19 +1324,7 @@ class VectorEngine:
             return
         # ---- vectorized epilogue ----
         ca = np.asarray(cells)
-        self.vc_len[ca] -= 1
-        new_head = (self.ring_head[ca] + 1) % self.ring_dep
-        self.ring_head[ca] = new_head
-        remaining = self.vc_len[ca]
-        refill = remaining > 0
-        if refill.any():
-            cr = ca[refill]
-            next_rows = self.ring2d[cr, new_head[refill]]
-            self.head_due[cr] = pool.arrival[next_rows] + self.cell_dly[cr]
-            self.head_need[cr] = pool.size[next_rows]
-        emptied = ~refill
-        if emptied.any():
-            self.head_due[ca[emptied]] = _NEVER
+        self.head_due[ca] = dues_l
         if tails:
             tc = ca[np.asarray(tails)]
             self.out_port_a[tc] = -1

@@ -110,11 +110,12 @@ def validate_sweep_request(body: Mapping) -> Dict[str, object]:
     _check_name("sweep", "pattern", request["pattern"], PATTERNS)
     rates = request["rates"]
     if not rates or not all(
-        isinstance(r, _NUMBER) and not isinstance(r, bool) and r > 0 for r in rates
+        isinstance(r, _NUMBER) and not isinstance(r, bool) and 0 < r <= 1
+        for r in rates
     ):
         raise JobSchemaError(
-            "sweep field 'rates' must be a non-empty list of positive numbers, "
-            f"got {rates!r}"
+            "sweep field 'rates' must be a non-empty list of injection rates "
+            f"in (0, 1], got {rates!r}"
         )
     request["rates"] = [float(r) for r in rates]
     if request["warmup"] < 0 or request["measure"] <= 0:

@@ -14,7 +14,7 @@ import pytest
 
 from repro import api
 from repro.client import ServiceClient, ServiceError
-from repro.exp.backends import RemoteStubBackend, TieredBackend
+from repro.exp.backends import MemoryBackend, TieredBackend
 from repro.exp.cache import ResultCache
 from repro.service import BackgroundService, Job, JobQueue
 from repro.service import schemas as wire
@@ -37,7 +37,7 @@ def wait_done(client, job_id, timeout=120.0):
 
 class TestServiceEndToEnd:
     def test_submit_stream_result_bit_identical_then_warm(self, tmp_path):
-        cache = TieredBackend(ResultCache(tmp_path / "l1"), RemoteStubBackend())
+        cache = TieredBackend(ResultCache(tmp_path / "l1"), MemoryBackend())
 
         # the ground truth: the same request made directly through repro.api
         preset = api.load_preset("baseline", threshold=None)

@@ -339,3 +339,24 @@ class TestContentLength:
                 + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
             )
             assert answer.startswith(b"HTTP/1.1 202 Accepted\r\n")
+
+
+class TestRateRange:
+    """A rate the traffic generator would reject is refused at submit
+    time (it used to be queued and fail later as a 409)."""
+
+    @pytest.mark.parametrize("rates", [b"[1.5]", b"[Infinity]"])
+    def test_out_of_range_rate_is_a_400_and_no_job(self, tmp_path, rates):
+        with BackgroundService(tmp_path / "queue", execute=fake_row) as svc:
+            body = (
+                b'{"preset": "baseline", "scheme": "upp", "rates": ' + rates + b"}"
+            )
+            answer = raw_exchange(
+                svc.port,
+                b"POST /v1/sweeps HTTP/1.1\r\nConnection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
+            )
+            assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            error = json.loads(answer.partition(b"\r\n\r\n")[2])["error"]
+            assert "(0, 1]" in error
+            assert ServiceClient(port=svc.port).jobs() == []

@@ -15,7 +15,8 @@ per-cycle engines — vector, the scalar active-set core
 * the UPP deadlock-recovery path and the unprotected deadlock outcome;
 * fault scenarios: statically injected fault sets and a mid-run
   ``reconfigure_routing`` fault event replayed under every engine,
-  checked down to per-router energy counters.
+  checked down to per-router energy counters;
+* packets planted straight into router VCs before the run.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ import pytest
 
 from repro.metrics.stats import install_stats, result_fingerprint
 from repro.noc.config import NocConfig
+from repro.noc.flit import Packet, Port
 from repro.sim.experiment import make_scheme
 from repro.sim.presets import large_topology, table2_config, table2_upp_config
 from repro.sim.simulator import Simulation
@@ -224,3 +226,83 @@ class TestFaultEquivalence:
         assert run("legacy") == vector
         assert run("full_sweep") == vector
         assert vector["summary"]["packets"] > 0
+
+
+class TestPlantedStateEquivalence:
+    def test_planted_state_identical(self):
+        """Packets planted straight into a chiplet router's and an
+        interposer router's injection VC (``vc.push`` then
+        ``Router.wake``, which re-derives the vector mirrors through
+        ``resync_router``) replay identically under every engine —
+        checked down to per-router energy counters.  The injecting NI's
+        credit state is charged as if it had sent the flits, so the
+        credit protocol holds when they drain."""
+
+        def plant(net, rid, dst):
+            router = net.routers[rid]
+            vc = router.in_ports[Port.LOCAL].vcs[0]
+            credits = net.nis[rid].out_credits
+            packet = Packet(rid, dst, vc.vnet, 3, 0)
+            packet.injected_cycle = 0
+            credits.allocate(vc.vc_index, packet.pid)
+            for flit in packet.make_flits():
+                vc.push(flit, 0)
+                credits.consume_credit(vc.vc_index)
+            net.note_flits_created(packet.size)
+            return router
+
+        def run(mode):
+            topo = baseline_system()
+            cfg = engine_config(table2_config(), mode)
+            sim = Simulation(topo, cfg, make_scheme("upp", table2_upp_config()))
+            net = sim.network
+            stats = install_stats(net)
+            install_synthetic_traffic(net, "uniform_random", 0.05)
+            chiplet = plant(net, topo.chiplet_nodes[-1], topo.chiplet_nodes[0])
+            interposer = plant(net, topo.interposer_routers[0], 21)
+            chiplet.wake()
+            interposer.wake()
+            stats.begin_window(0)
+            net.run(300)
+            stats.end_window(net.cycle)
+            return {
+                "summary": stats.summary(net.cycle),
+                "cycle": net.cycle,
+                "occupancy": net.occupancy(),
+                "energy": {
+                    rid: r.energy.snapshot() for rid, r in net.routers.items()
+                },
+            }
+
+        vector = run("vector")
+        assert run("legacy") == vector
+        assert run("full_sweep") == vector
+        assert vector["summary"]["packets"] > 0
+
+
+class TestMirrorCoherence:
+    @pytest.mark.parametrize("name", ["uniform_r0.08", "deadlock_recovery"])
+    def test_mirrors_match_objects_after_run(self, name):
+        """After a saturating run and a popup recovery, every array the
+        vector engine keeps (head eligibility, routes, output VCs, popup
+        tags, parking, credits, busy bits, link dues) still equals what
+        the buffer, port and link objects say."""
+        if name == "deadlock_recovery":
+            cfg = NocConfig(vcs_per_vnet=1, datapath="vector")
+            sim = Simulation(
+                baseline_system(), cfg, make_scheme("upp", table2_upp_config()),
+                watchdog_window=2500,
+            )
+            install_adversarial_traffic(sim.network, witness_flows(sim.network))
+            result = sim.run(warmup=0, measure=3000)
+        else:
+            cfg = engine_config(table2_config(), "vector")
+            sim = Simulation(
+                large_topology(), cfg, make_scheme("upp", table2_upp_config())
+            )
+            install_synthetic_traffic(sim.network, "uniform_random", 0.08)
+            result = sim.run(100, 400)
+        assert result_fingerprint(result)["summary"]["packets"] > 0
+        engine = sim.network.vector
+        assert engine is not None and engine.batched_flits > 0
+        assert engine.verify_mirrors() == []

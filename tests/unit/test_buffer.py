@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.noc.buffer import Credit, InputPort, OutputPort, VirtualChannel
+from repro.noc.buffer import _NEVER, Credit, InputPort, OutputPort, VirtualChannel
+from repro.noc.config import NocConfig
 from repro.noc.flit import Packet, Port
+from repro.noc.network import Network
+from repro.schemes.none import UnprotectedScheme
+from repro.topology.chiplet import baseline_system
 
 
 def packet(size=3, vnet=0):
@@ -64,6 +68,25 @@ class TestVirtualChannel:
         assert vc.free_slots == 4
         fill(vc, packet(size=3))
         assert vc.free_slots == 1
+
+    def test_vector_head_due_follows_queue_head(self):
+        """A VC bound to the vector engine keeps its cell's ``head_due``
+        at the current head's arrival plus the SA delay: set by the push
+        that fills an empty queue, re-read from the new head on a pop,
+        and reset to "never" when the queue empties."""
+        net = Network(baseline_system(), NocConfig(datapath="vector"), UnprotectedScheme())
+        vc = net.routers[0].in_ports[Port.LOCAL].vcs[0]
+        head_due = net.vector.head_due
+        assert vc._cell >= 0 and head_due[vc._cell] == _NEVER
+        first, second = packet(size=2).make_flits()
+        vc.push(first, 3)
+        vc.push(second, 7)  # a push behind the head leaves head_due alone
+        assert head_due[vc._cell] == 3 + vc._dly
+        vc.pop()
+        assert head_due[vc._cell] == 7 + vc._dly
+        vc.pop()
+        assert head_due[vc._cell] == _NEVER
+        assert net.vector.verify_mirrors() == []
 
 
 class TestInputPort:

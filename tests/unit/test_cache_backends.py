@@ -7,7 +7,6 @@ from repro.exp import ExperimentRunner
 from repro.exp.backends import (
     CacheBackend,
     MemoryBackend,
-    RemoteStubBackend,
     TieredBackend,
 )
 from repro.exp.cache import ResultCache, cache_key
@@ -20,8 +19,8 @@ def backends(tmp_path):
     return [
         ResultCache(tmp_path / "dir"),
         MemoryBackend(),
-        RemoteStubBackend(),
-        TieredBackend(ResultCache(tmp_path / "l1"), RemoteStubBackend()),
+        TieredBackend(ResultCache(tmp_path / "l1"), ResultCache(tmp_path / "l2")),
+        TieredBackend(ResultCache(tmp_path / "l1m"), MemoryBackend()),
         TieredBackend(MemoryBackend(), MemoryBackend()),
     ]
 
@@ -57,7 +56,7 @@ class TestProtocolConformance:
         backend.get(cache_key(SPEC))  # miss
         stats = backend.stats()
         json.dumps(stats)  # must serialise for GET /v1/stats
-        assert stats["backend"] in ("dir", "memory", "remote-stub", "tiered")
+        assert stats["backend"] in ("dir", "memory", "tiered")
 
 
 class TestMemoryBackend:
@@ -76,15 +75,6 @@ class TestMemoryBackend:
         assert backend.gc(max_age_days=1) == 0
         backend._entries[key]["created_unix"] = 0  # 1970: ancient
         assert backend.gc(max_age_days=1) == 1
-
-    def test_remote_stub_counts_round_trips(self):
-        remote = RemoteStubBackend()
-        key = cache_key(SPEC)
-        remote.get(key)
-        remote.put(key, SPEC, {"x": 1})
-        remote.get(key)
-        assert remote.round_trips == 3
-        assert remote.stats()["round_trips"] == 3
 
 
 class TestTieredBackend:
@@ -144,7 +134,7 @@ class TestRunnerWithBackends:
     def test_tiered_backend_shares_results_via_remote(self, tmp_path):
         """Two 'machines' (separate local dirs) fronting one remote tier:
         the second machine's run simulates nothing."""
-        remote = RemoteStubBackend()
+        remote = MemoryBackend()
         machine_a = TieredBackend(ResultCache(tmp_path / "a"), remote)
         machine_b = TieredBackend(ResultCache(tmp_path / "b"), remote)
         first = ExperimentRunner(jobs=1, cache=machine_a, execute=_double).run(_specs(3))
@@ -190,4 +180,4 @@ class TestApiCachePlumbing:
         assert isinstance(api.make_cache(tmp_path), ResultCache)
         tiered = api.make_cache(tmp_path, tiered=True)
         assert isinstance(tiered, TieredBackend)
-        assert isinstance(tiered.l2, RemoteStubBackend)
+        assert isinstance(tiered.l2, MemoryBackend)

@@ -22,6 +22,7 @@ from repro.analysis.certifier import (
     check_routing_totality,
     recertify_after_faults,
 )
+from repro.analysis.sanitizer import InvariantViolation
 from repro.noc.config import NocConfig
 from repro.noc.flit import Port
 from repro.noc.network import Network
@@ -39,6 +40,18 @@ def upp_net():
 @pytest.fixture(scope="module")
 def composable_net():
     return Network(baseline_system(), NocConfig(), ComposableRoutingScheme())
+
+
+def chiplet_zero_vertical_links(topo):
+    """Every vertical link into or out of chiplet 0, as directed pairs."""
+    cut = {
+        (spec.src, spec.dst)
+        for spec in topo.links
+        if spec.src_port in (Port.UP, Port.UP2, Port.DOWN)
+        and (topo.chiplet_of[spec.src] == 0 or topo.chiplet_of[spec.dst] == 0)
+    }
+    assert cut, "baseline system must have chiplet-0 vertical links"
+    return cut
 
 
 class TestTotality:
@@ -208,16 +221,12 @@ class TestRecertification:
     def test_disconnected_destination_fails_totality_not_hangs(self):
         """Failing every vertical link of one chiplet strands all routes
         into/out of it; the totality walk must report dead ends and
-        terminate (bounded hop walk), not loop forever."""
+        terminate (bounded hop walk), not loop forever.  The sanitizer is
+        pinned off: it would refuse the reconfiguration (see the twin
+        below) before the certificate is returned."""
         topo = baseline_system()
-        net = Network(topo, NocConfig(), UPPScheme())
-        cut = {
-            (spec.src, spec.dst)
-            for spec in topo.links
-            if spec.src_port in (Port.UP, Port.UP2, Port.DOWN)
-            and (topo.chiplet_of[spec.src] == 0 or topo.chiplet_of[spec.dst] == 0)
-        }
-        assert cut, "baseline system must have chiplet-0 vertical links"
+        net = Network(topo, NocConfig(sanitize=False), UPPScheme())
+        cut = chiplet_zero_vertical_links(topo)
         topo.faulty |= cut
         cert = recertify_after_faults(net, cut)
         assert not cert.ok
@@ -227,6 +236,19 @@ class TestRecertification:
         assert "dead-end" in kinds
         # every stranded route involves the disconnected chiplet
         assert len(cert.totality.violations) > 100
+
+    def test_sanitizer_rejects_disconnecting_reconfiguration(self):
+        """The same cut under the sanitizer: its reconfiguration hook
+        certifies the rebuilt routing and raises instead of running on."""
+        topo = baseline_system()
+        net = Network(topo, NocConfig(sanitize=True), UPPScheme())
+        cut = chiplet_zero_vertical_links(topo)
+        topo.faulty |= cut
+        with pytest.raises(
+            InvariantViolation,
+            match="post-reconfiguration routing failed static certification",
+        ):
+            recertify_after_faults(net, cut)
 
 
 class TestCertificateToDict:

@@ -125,6 +125,15 @@ class TestValidateJob:
         with pytest.raises(JobSchemaError, match="'rate' must be injection rate"):
             validate_job(sweep_spec(rate="fast"))
 
+    @pytest.mark.parametrize("rate", [float("nan"), 2.0, -0.1, float("inf")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(JobSchemaError, match=r"'rate' must be an injection rate in \[0, 1\]"):
+            validate_job(sweep_spec(rate=rate))
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_rate_interval_is_closed(self, rate):
+        assert validate_job(sweep_spec(rate=rate))["rate"] == rate
+
     def test_bool_does_not_pass_as_integer(self):
         with pytest.raises(JobSchemaError, match="'warmup'"):
             validate_job(sweep_spec(warmup=True))

@@ -89,3 +89,26 @@ class TestCycleSemantics:
         net = Network(baseline_system(), NocConfig())
         assert net.drain(max_cycles=10)
 
+
+class TestDatapathStats:
+    def test_vector_stats_report_batch_work_only(self):
+        net = Network(baseline_system(), NocConfig(datapath="vector"), UnprotectedScheme())
+        net.run(20)
+        stats = net.datapath_stats()
+        assert set(stats) == {
+            "engine", "cycles", "static_cycles", "scalar_cycles",
+            "scalar_router_cycles", "batched_flits", "batched_deliveries",
+            "scalar_fallback_fraction",
+        }
+        assert stats["engine"] == "vector"
+        assert stats["cycles"] == 20
+        assert stats["static_cycles"] <= stats["cycles"]
+
+    def test_scalar_engines_name_themselves(self):
+        legacy = Network(baseline_system(), NocConfig(datapath="legacy"), UnprotectedScheme())
+        sweep = Network(
+            baseline_system(), NocConfig(datapath="legacy", full_sweep=True),
+            UnprotectedScheme(),
+        )
+        assert legacy.datapath_stats() == {"engine": "legacy"}
+        assert sweep.datapath_stats() == {"engine": "full_sweep"}

@@ -112,7 +112,8 @@ class TestViolationsFire:
     def test_vector_mirror_divergence(self):
         net = sanitized_net(datapath="vector")
         vc = net.routers[0].in_ports[Port.LOCAL].vcs[0]
-        net.vector.vc_len[vc._cell] = 5  # corrupt the mirror directly
+        assert not vc.queue
+        net.vector.head_due[vc._cell] = 5  # corrupt the mirror directly
         with pytest.raises(InvariantViolation, match="vector mirror"):
             net.sanitizer.check_all()
 

@@ -197,6 +197,16 @@ class TestRequestSchemas:
         with pytest.raises(JobSchemaError, match="unknown name 'teleport'"):
             validate_sweep_request({"scheme": "teleport"})
 
+    @pytest.mark.parametrize("rate", [0.0, -0.01, 1.5, 1e308, float("inf")])
+    def test_rate_outside_half_open_unit_interval_rejected(self, rate):
+        from repro.exp.schemas import JobSchemaError
+
+        with pytest.raises(JobSchemaError, match=r"injection rates in \(0, 1\]"):
+            validate_sweep_request({"rates": [0.01, rate]})
+
+    def test_rate_of_one_accepted(self):
+        assert validate_sweep_request({"rates": [1]})["rates"] == [1.0]
+
     def test_workload_defaults_filled(self):
         request = validate_workload_request({})
         assert request["workload"] == "canneal"

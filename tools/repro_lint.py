@@ -15,10 +15,7 @@ arguments depend on:
   ``src/repro/core``) may mutate their fields; anywhere else a write to a
   receiver named like a flit (``flit``, ``sig``, ``packet``, ``req``,
   ``ack``) is flagged.  The statistics fields ``hops`` and ``popup_count``
-  are exempt (append-only counters, not protocol state).  Subscript
-  writes to FlitPool columns through a pool-named receiver
-  (``pool.arrival[row] = ...``) mutate flit state by proxy and fall
-  under the same rule.
+  are exempt (append-only counters, not protocol state).
 * **R003 — import hygiene**: no import cycles among ``repro.*``
   sub-packages, counting module-level imports only (function-local lazy
   imports are the sanctioned way to break a would-be cycle).
@@ -79,17 +76,6 @@ R002_RECEIVERS = {"flit", "sig", "signal", "packet", "req", "ack", "credit"}
 #: statistics fields any component may bump (not protocol state).
 R002_EXEMPT_FIELDS = {"hops", "popup_count"}
 
-#: FlitPool parallel-array columns (``repro.noc.vector.POOL_COLUMNS``
-#: plus the object column).  Subscript writes through a pool-named
-#: receiver outside the owner packages are flit mutations by proxy.
-R002_POOL_COLUMNS = {
-    "kind", "pid", "seq", "src", "dst", "vnet", "size", "arrival",
-    "is_header", "is_tail", "popup", "obj",
-}
-
-#: receiver names treated as a FlitPool handle.
-R002_POOL_RECEIVERS = {"pool", "flit_pool", "_apool"}
-
 #: packages whose code the mirror write-through rule covers.
 R004_SCOPES = ("repro/noc", "repro/schemes")
 
@@ -102,14 +88,12 @@ R004_EXEMPT_FILES = ("repro/noc/vector.py", "repro/noc/mirror.py")
 #: so the set is duplicated here and cross-checked by the test suite).
 R004_MIRRORED_ATTRS = {
     "_out_port", "_out_vc", "_popup_tagged",
-    "_cell", "_alen", "_adue", "_aneed", "_aop", "_aovc", "_atag",
-    "_aring", "_ahead", "_adep", "_apool", "_aeng",
+    "_cell", "_adue", "_aop", "_aovc", "_atag", "_aeng",
     "credits", "vc_busy", "_obase", "_acred", "_abusy", "_aunpark",
     "_flits", "_credits", "_vec_due", "_vec_min",
     "_batch_ok", "_cell_base", "_dst_vcs", "_dst_iport",
     "_dst_router", "_src_router", "_src_oport",
     "_dst_pt", "_src_ni", "_dst_ni",
-    "_row",
 }
 
 #: methods that mutate a list/deque in place.
@@ -205,8 +189,6 @@ def check_flit_ownership(path: str, tree: ast.Module) -> List[Violation]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 violation = _flit_write(path, target, node.lineno)
-                if violation is None:
-                    violation = _pool_column_write(path, target, node.lineno)
                 if violation is not None:
                     found.append(violation)
     return found
@@ -223,29 +205,6 @@ def _flit_write(path: str, target: ast.expr, line: int):
         f"mutation of {receiver}.{attr} outside the flit owners "
         f"({', '.join(R002_OWNER_SCOPES)}); store derived state in the "
         f"component, not on the flit",
-    )
-
-
-def _pool_column_write(path: str, target: ast.expr, line: int):
-    """``pool.arrival[row] = ...`` outside the owners mutates a flit's
-    payload mirror by proxy — same ownership rule as direct flit writes."""
-    if not isinstance(target, ast.Subscript):
-        return None
-    base = target.value
-    if not (isinstance(base, ast.Attribute) and base.attr in R002_POOL_COLUMNS):
-        return None
-    recv = base.value
-    name = (
-        recv.id if isinstance(recv, ast.Name)
-        else recv.attr if isinstance(recv, ast.Attribute) else ""
-    )
-    if name not in R002_POOL_RECEIVERS:
-        return None
-    return Violation(
-        path, line, "R002",
-        f"subscript write to FlitPool column {name}.{base.attr}[...] "
-        f"outside the flit owners ({', '.join(R002_OWNER_SCOPES)}); pool "
-        f"rows are flit state and only the owners may mutate them",
     )
 
 
