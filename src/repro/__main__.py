@@ -24,6 +24,7 @@ import argparse
 import math
 import os
 import sys
+from typing import List
 
 from repro import api
 from repro.schemes.registry import scheme_names
@@ -73,7 +74,7 @@ def cmd_info(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Run a latency-vs-injection-rate sweep and print the curve."""
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = args.rates
     preset = api.load_preset(
         _preset_name(args.topology, args.vcs), threshold=args.threshold
     )
@@ -214,6 +215,40 @@ def _max_age_days(text: str) -> float:
     return value
 
 
+def _rates(text: str) -> List[float]:
+    """argparse type: comma-separated injection rates, each in (0, 1]."""
+    rates = []
+    for part in text.split(","):
+        try:
+            value = float(part)
+        except ValueError:
+            value = math.nan
+        if not 0 < value <= 1:  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                f"each rate must be a number in (0, 1], got {part!r}"
+            )
+        rates.append(value)
+    return rates
+
+
+def _int_at_least(minimum: int):
+    """argparse type factory: an integer >= ``minimum`` (the service's
+    window bounds, so the CLI never caches a point the service rejects)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def cmd_cache(args) -> int:
     """Inspect (``ls``) or garbage-collect (``gc``) the result cache."""
     import json
@@ -291,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="latency vs injection rate")
     p.add_argument("--scheme", choices=tuple(scheme_names()), default="upp")
     p.add_argument("--pattern", choices=tuple(PATTERNS), default="uniform_random")
-    p.add_argument("--rates", default="0.01,0.03,0.05,0.07,0.09")
+    p.add_argument("--rates", type=_rates, default="0.01,0.03,0.05,0.07,0.09")
     p.add_argument("--vcs", type=int, choices=(1, 4), default=1)
-    p.add_argument("--warmup", type=int, default=500)
-    p.add_argument("--measure", type=int, default=2500)
+    p.add_argument("--warmup", type=_int_at_least(0), default=500)
+    p.add_argument("--measure", type=_int_at_least(1), default=2500)
     p.add_argument("--threshold", type=int, default=20)
     p.add_argument("--topology", choices=topologies, default="baseline")
     _add_runner_options(p)

@@ -252,7 +252,9 @@ class Sanitizer:
 
     def _check_vector_mirrors(self, net) -> None:
         """The vector engine's arrays must mirror the object state
-        exactly (write-through coverage of every mutation site)."""
+        exactly (write-through coverage of every mutation site), and no
+        parked head may be movable (re-arm coverage of every credit
+        return)."""
         vec = getattr(net, "vector", None)
         if vec is None:
             return

@@ -5,7 +5,9 @@ A cache key is the SHA-256 of three ingredients (see :func:`cache_key`):
 * the **task spec** — the canonical JSON of the point's full description,
   which embeds the :meth:`NocConfig.fingerprint` /
   :meth:`UPPConfig.fingerprint` content hashes, the topology name, the
-  scheme name and every window parameter;
+  scheme name and every window parameter.  The spec's plain ``cfg`` dict
+  is hashed without :attr:`NocConfig.NON_SEMANTIC_FIELDS`, so points that
+  differ only in the engine that runs them share one entry;
 * the **code-version salt** (:data:`CODE_VERSION`) — bumped by hand
   whenever simulator semantics change in a way the configs cannot see;
 * the **git revision** of the working tree (``-dirty`` suffixed when the
@@ -35,6 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.fingerprint import stable_fingerprint
+from repro.noc.config import NocConfig
 
 #: manual salt over the simulator's behaviour; bump when a change alters
 #: simulation results without touching any config field.
@@ -77,10 +80,17 @@ def _probe_git_revision() -> str:
 
 def cache_key(spec: Mapping) -> str:
     """The content address of one task spec (config + code identity)."""
+    payload = dict(spec)
+    cfg = payload.get("cfg")
+    if isinstance(cfg, Mapping):
+        payload["cfg"] = {
+            name: value for name, value in cfg.items()
+            if name not in NocConfig.NON_SEMANTIC_FIELDS
+        }
     return stable_fingerprint(
         "repro-exp-point/v1",
         {
-            "spec": dict(spec),
+            "spec": payload,
             "code_version": CODE_VERSION,
             "git_rev": git_revision(),
         },

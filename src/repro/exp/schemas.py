@@ -79,8 +79,10 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
 
     Raises :class:`JobSchemaError` with an actionable message on any
     violation: wrong/missing schema tag, unknown kind, missing field,
-    mis-typed field, a field the schema does not define, or a sweep
-    point's ``rate`` outside the traffic generator's range [0, 1].
+    mis-typed field, a field the schema does not define, a sweep
+    point's ``rate`` outside the traffic generator's range [0, 1], or a
+    cycle window the service would reject (``warmup < 0``,
+    ``measure <= 0``, ``max_cycles <= 0``).
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(
@@ -130,5 +132,15 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
         raise JobSchemaError(
             f"sweep_point field 'rate' must be an injection rate in [0, 1], "
             f"got {spec['rate']!r}"
+        )
+    if kind == "sweep_point" and (spec["warmup"] < 0 or spec["measure"] <= 0):
+        raise JobSchemaError(
+            "sweep_point windows must satisfy warmup >= 0 and measure > 0, "
+            f"got warmup={spec['warmup']}, measure={spec['measure']}"
+        )
+    if kind == "workload" and spec["max_cycles"] <= 0:
+        raise JobSchemaError(
+            "workload field 'max_cycles' must be positive, "
+            f"got {spec['max_cycles']}"
         )
     return dict(spec)

@@ -35,15 +35,13 @@ class VirtualChannel:
         "depth",
         "queue",
         "_out_port",
-        "_out_vc",
+        "out_vc",
         "active_pid",
         "_popup_tagged",
         "_port",
         # --- vector-datapath mirror bindings (see repro.noc.vector) ---
         "_cell",   # flat (row, vc) index into the engine arrays; -1 unbound
         "_adue",   # per-cell head SA-eligibility cycle array
-        "_aop",    # per-cell cached route (int Port; -1 unrouted)
-        "_aovc",   # per-cell allocated output VC (-1 before VCS)
         "_atag",   # per-cell popup_tagged array
         "_dly",    # owning router's SA eligibility delay
         "_aeng",   # owning engine (re-arms parked cells on local events)
@@ -57,7 +55,8 @@ class VirtualChannel:
         self.depth = depth
         self.queue: deque = deque()
         self._out_port: Optional[Port] = None
-        self._out_vc: int = -1
+        #: output VC allocated to the packet at the head (-1 before VCS).
+        self.out_vc: int = -1
         self.active_pid: int = -1
         #: set when an UPP_req found this VC holding the head flit of a
         #: partly-transmitted upward packet (Sec. V-B3): popup starts here.
@@ -69,17 +68,15 @@ class VirtualChannel:
         # array state stays truthful no matter which code path mutates it
         self._cell = -1
         self._adue = None
-        self._aop = None
-        self._aovc = None
         self._atag = None
         self._dly = 0
         self._aeng = None
 
     # --- mirrored VC state -------------------------------------------- #
-    # The vector engine scans (out_port, out_vc, popup_tagged) as numpy
-    # arrays; these properties keep the arrays in sync with the object
-    # attributes that the router, the UPP machinery and the diagnostics
-    # all mutate directly.
+    # The vector engine scans ``popup_tagged`` as a numpy array and parks
+    # blocked heads on their route; these properties keep the array in
+    # sync and re-arm a parked cell whatever code path (router, UPP
+    # machinery, diagnostics) mutates the attribute.
 
     @property
     def out_port(self) -> Optional[Port]:
@@ -91,22 +88,9 @@ class VirtualChannel:
         self._out_port = value
         c = self._cell
         if c >= 0:
-            self._aop[c] = -1 if value is None else value
             eng = self._aeng
             if eng is not None and eng.parked[c]:
                 eng.unpark_cell(c)  # route change invalidates the verdict
-
-    @property
-    def out_vc(self) -> int:
-        return self._out_vc
-
-    @out_vc.setter
-    @mirror_hook
-    def out_vc(self, value: int) -> None:
-        self._out_vc = value
-        c = self._cell
-        if c >= 0:
-            self._aovc[c] = value
 
     @property
     def popup_tagged(self) -> bool:
@@ -242,10 +226,8 @@ class OutputPort:
         "vc_owner",
         "n_vnets",
         "vcs_per_vnet",
-        # --- vector-datapath mirror bindings (see repro.noc.vector) ---
-        "_obase",  # flat (output row, vc 0) index into the engine arrays
-        "_acred",  # global credit-count array
-        "_abusy",  # global VC-allocation array
+        # --- vector-datapath bindings (see repro.noc.vector) ---
+        "_orow",  # engine output-row index; -1 unbound
         "_aunpark",  # engine re-arm callback (parked-cell credit events)
     )
 
@@ -259,13 +241,11 @@ class OutputPort:
         self.vc_busy = [False] * n_vcs
         #: pid of the packet the VC is allocated to (diagnostics only).
         self.vc_owner = [-1] * n_vcs
-        # unbound until a vector engine adopts this port; the three
-        # mutation sites below write through so the engine's batch scans
-        # always see current credit/allocation state, while every reader
-        # (router, NI, schemes, sanitizer, tests) keeps plain lists
-        self._obase = -1
-        self._acred = None
-        self._abusy = None
+        # unbound until a vector engine adopts this port; every reader
+        # (router, NI, schemes, sanitizer, tests, the engine's verdicts)
+        # uses the plain lists, and return_credit re-arms the engine's
+        # cells parked on this port
+        self._orow = -1
         self._aunpark = None
 
     def free_vcs(self, vnet: int, need: int = 1):
@@ -286,9 +266,6 @@ class OutputPort:
             raise RuntimeError(f"output VC {vc} double-allocated")
         self.vc_busy[vc] = True
         self.vc_owner[vc] = owner_pid
-        b = self._obase
-        if b >= 0:
-            self._abusy[b + vc] = True
 
     @mirror_hook
     def consume_credit(self, vc: int) -> None:
@@ -297,23 +274,16 @@ class OutputPort:
         if credits[vc] <= 0:
             raise RuntimeError(f"credit underflow on output VC {vc}")
         credits[vc] -= 1
-        b = self._obase
-        if b >= 0:
-            self._acred[b + vc] -= 1
 
     @mirror_hook
     def return_credit(self, vc: int, vc_free: bool) -> None:
         """Credit return; ``vc_free`` also releases the VC allocation."""
         self.credits[vc] += 1
-        b = self._obase
-        if b >= 0:
-            self._acred[b + vc] += 1
-            self._aunpark(b)  # fresh credit re-arms cells parked here
         if vc_free:
             self.vc_busy[vc] = False
             self.vc_owner[vc] = -1
-            if b >= 0:
-                self._abusy[b + vc] = False
+        if self._orow >= 0:
+            self._aunpark(self._orow)  # fresh credit re-arms cells parked here
 
 
 class Credit:

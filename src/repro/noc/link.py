@@ -46,7 +46,6 @@ class Link:
         "_vec_due",
         "_vec_min",
         "_batch_ok",
-        "_cell_base",
         "_dst_vcs",
         "_dst_iport",
         "_dst_router",
@@ -99,9 +98,8 @@ class Link:
         #: delivery path (router-to-router, neither endpoint pinned
         #: scalar); set by the engine at construction/adoption time.
         self._batch_ok = False
-        #: batch-delivery bindings (destination cell base + cached
-        #: endpoint objects), set by the engine alongside ``_batch_ok``.
-        self._cell_base = -1
+        #: batch-delivery bindings (cached endpoint objects), set by the
+        #: engine alongside ``_batch_ok``.
         self._dst_vcs = None
         self._dst_iport = None
         self._dst_router = None

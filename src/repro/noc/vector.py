@@ -1,51 +1,44 @@
-"""Struct-of-arrays vector datapath engine (``NocConfig.datapath="vector"``).
+"""Array-scan vector datapath engine (``NocConfig.datapath="vector"``).
 
 The scalar core spends its saturated-load cycles scanning Python objects:
-every awake router walks its input VCs, re-derives head eligibility,
-checks downstream credits and free output VCs, and only then discovers
-that most heads cannot move.  This engine hoists exactly that
-bookkeeping — head SA-eligibility, cached routes, output credits/
-allocation and link delivery timers — into preallocated numpy arrays
-indexed by ``(router, port, vc)`` and evaluates the whole network with
-a handful of batch operations per cycle.
+every awake router walks its input VCs, re-derives head eligibility and
+only then discovers that most heads cannot move.  This engine keeps just
+the state that *finds* work — head SA-eligibility, the popup tag, the
+blocked-candidate parking flag and link delivery timers — in
+preallocated numpy arrays indexed by ``(router, port, vc)`` and by link,
+so each cycle starts with two numpy scans instead of an object walk.
 
 Array layout (built once from the topology at :class:`~repro.noc.network.
 Network` construction):
 
 * one **input row** per ``(router, input port)`` pair, numbered in
   ascending router id and port-insertion order — i.e. exactly the order
-  the scalar switch-allocation sweep visits them, so iterating granted
-  rows in index order reproduces the legacy nomination order;
+  the scalar switch-allocation sweep visits them, so iterating candidate
+  cells in index order reproduces the legacy nomination order;
 * one **cell** per ``(row, vc)``: ``head_due`` (arrival +
-  SA-eligibility delay, ``_NEVER`` when empty), the ``out_port`` /
-  ``out_vc`` route mirrors and the ``popup_tagged`` flag;
-* one **output row** per ``(router, output port)``: ``credits`` and
-  ``vc_busy``, kept truthful by write-through hooks in the owning
-  :class:`~repro.noc.buffer.OutputPort`'s three mutation sites
-  (``allocate`` / ``consume_credit`` / ``return_credit``) while every
-  reader keeps plain Python lists;
-* one **slot** per link holding its earliest pending delivery cycle.
+  SA-eligibility delay, ``_NEVER`` when empty), the ``tagged`` popup
+  flag and the ``parked`` blocked-verdict flag — the candidate scan;
+* one **slot** per link holding its earliest pending delivery cycle
+  (``link_due``, with its global minimum in ``due_box``) — the delivery
+  scan.
 
-Flit objects in the per-VC and per-link deques are the only flit
-state; the arrays mirror just what the batch verdicts read.  After a
-pop the batch paths already hold the VC's deque, so the next head's
-eligibility is read straight from ``queue[0]``.  The per-cycle
-evaluation is:
+Flit objects in the per-VC and per-link deques, routes, output VCs and
+the output ports' credit / allocation lists are the only copies of that
+state; every verdict reads them directly.  The per-cycle evaluation is:
 
-1. deliver every link whose due-cycle has arrived: batch-eligible router
-   links drain straight into the destination VC deques (one vectorized
-   epilogue updates head eligibility and credit mirrors); signals,
-   popup flits and links touching a pinned-scalar router reuse the
-   scalar drain verbatim;
-2. compute the candidate/blocked/request masks for every cell at once;
-3. hand rows with requests to the routers' *real* round-robin arbiters,
-   in ascending router order interleaved with the routers that need the
-   full scalar step (live signal/popup/boundary-buffer state) — so
-   arbiter pointers and RNG draws advance in exactly the legacy order —
-   then execute every winner in one batched traversal: pops, credit
-   consumption, link dispatch and upstream credit return are applied
-   with per-item list operations plus one fancy-indexed array update
-   per column instead of a Python call per flit.
+1. deliver every link whose due-cycle has arrived: batch-eligible links
+   drain straight into the destination VC deques (setting the head
+   eligibility of VCs that were empty and re-arming cells parked on
+   output rows that received credits); signals, popup flits and links
+   touching a pinned-scalar router reuse the scalar drain verbatim;
+2. select the candidate cells (eligible head, not tagged, not parked);
+3. route, judge and arbitrate each candidate in ascending cell order
+   through the routers' *real* round-robin arbiters, interleaved with
+   the routers that need the full scalar step (live signal/popup/
+   boundary-buffer state) — so arbiter pointers and RNG draws advance in
+   exactly the legacy order — then execute every winner in one deferred
+   traversal loop: pops, credit consumption, link dispatch and upstream
+   credit return.
 
 The active-set machinery from the event-driven core survives as the
 *controller*: its wake plumbing decides which routers still carry
@@ -91,15 +84,9 @@ _N_PORTS = len(Port)
 _UP = int(Port.UP)
 _UP2 = int(Port.UP2)
 
-#: candidate-set size at or below which switch allocation evaluates the
-#: verdicts through per-item object/list reads instead of the batched
-#: numpy chain — the same fixed-per-op-overhead trade the scalar
-#: epilogues in ``deliver`` / ``_execute`` make.  Blocked-candidate
-#: parking keeps lightly-loaded and deadlocked phases under this size.
-SCALAR_EVAL_MAX = 24
 
 class VectorEngine:
-    """Per-network vectorized evaluation state (see module docstring)."""
+    """Per-network vector-engine state (see module docstring)."""
 
     def __init__(self, net) -> None:
         self.net = net
@@ -154,12 +141,9 @@ class VectorEngine:
         #: rid -> (first cell, last cell + 1); rows are contiguous per
         #: router, so masking a scalar-path router is two slice stores.
         self.cell_span: Dict[int, Tuple[int, int]] = {}
-        #: (rid, dst_port) -> row, for link cell-base binding.
-        self.row_index: Dict[Tuple[int, Port], int] = {}
         for r in routers:
             row_lo = len(self.row_router)
             for port, iport in r.in_ports.items():
-                self.row_index[(r.rid, port)] = len(self.row_router)
                 self.row_router.append(r)
                 self.row_port.append(port)
                 self.row_iport.append(iport)
@@ -168,40 +152,21 @@ class VectorEngine:
         n_cells = n_rows * vmax
 
         self.head_due = np.full(n_cells, _NEVER, np.int64)
-        self.out_port_a = np.full(n_cells, -1, np.int64)
-        self.out_vc_a = np.full(n_cells, -1, np.int64)
         self.tagged = np.zeros(n_cells, bool)
-        self.cell_vnet = np.zeros(n_cells, np.int64)
-        self.cell_vnet_l: List[int] = [0] * n_cells
         #: rid * n_ports per cell, for the (router, out_port) -> output-row
-        #: lookup gather.
-        self.cell_rbase = np.zeros(n_cells, np.int64)
-        self.cell_upp = np.zeros(n_cells, bool)
-        self.vct_cell = np.zeros(n_cells, bool)
-        self.any_vct = False
-        #: per-cell SA-eligibility delay (head_due = arrival + dly).
-        self.cell_dly = np.zeros(n_cells, np.int64)
+        #: lookup.
+        self.cell_rbase_l: List[int] = [0] * n_cells
+        #: per-cell virtual cut-through flag (whole-packet admission).
+        self.vct_cell_l: List[bool] = [False] * n_cells
         #: per-cell VC object (None for padding cells beyond the port's
-        #: real VC count) — the batch paths' object handle.
+        #: real VC count) — the per-item paths' object handle.
         self.cell_vc: List = [None] * n_cells
-        #: per-row input-port int and upstream link, for batched output
+        #: per-row input-port int and upstream link, for output
         #: arbitration and credit return.
         self.row_port_i: List[int] = [int(p) for p in self.row_port]
         self.row_inlink: List = [
             r.in_links.get(p) for r, p in zip(self.row_router, self.row_port)
         ]
-        #: upstream-link order / latency per input row (-1 where the row
-        #: has no inlink) — lets the batched execution compute every
-        #: credit-return due mirror with two gathers instead of per-item
-        #: list appends.
-        self.row_inlord = np.asarray(
-            [-1 if lk is None else lk._order for lk in self.row_inlink],
-            np.int64,
-        )
-        self.row_inlat = np.asarray(
-            [0 if lk is None else lk.latency for lk in self.row_inlink],
-            np.int64,
-        )
 
         # ---- event-driven blocked-candidate parking ----
         #: cells whose last verdict was "blocked" and for which no event
@@ -225,20 +190,13 @@ class VectorEngine:
             is_vct = r.cfg.flow_control == "vct"
             for vc in iport.vcs:
                 cell = row * vmax + vc.vc_index
-                self.cell_vnet[cell] = vc.vnet
-                self.cell_vnet_l[cell] = vc.vnet
-                self.cell_rbase[cell] = r.rid * _N_PORTS
-                self.cell_dly[cell] = r._sa_delay
+                self.cell_rbase_l[cell] = r.rid * _N_PORTS
+                self.vct_cell_l[cell] = is_vct
                 self.cell_vc[cell] = vc
-                if is_vct:
-                    self.vct_cell[cell] = True
-                    self.any_vct = True
                 # bind the VC's mirror slots: push/pop and the mirrored
                 # attribute setters keep the arrays truthful from now on
                 vc._cell = cell
                 vc._adue = self.head_due
-                vc._aop = self.out_port_a
-                vc._aovc = self.out_vc_a
                 vc._atag = self.tagged
                 vc._dly = r._sa_delay
                 vc._aeng = self
@@ -248,59 +206,24 @@ class VectorEngine:
                     self.head_due[cell] = (
                         vc.queue[0].arrival_cycle + r._sa_delay
                     )
-                if vc._out_port is not None:
-                    self.out_port_a[cell] = int(vc._out_port)
-                self.out_vc_a[cell] = vc._out_vc
                 self.tagged[cell] = vc._popup_tagged
 
         # ---- output rows ----
         orows: List = []
         self.orow_link: List = []
-        self.outrow_flat = np.full(len(routers) * _N_PORTS, -1, np.int64)
+        #: rid * n_ports + out_port -> output row (-1 where absent).
+        self.outrow_flat: List[int] = [-1] * (len(routers) * _N_PORTS)
         for r in routers:
             for port, oport in r.out_ports.items():
                 self.outrow_flat[r.rid * _N_PORTS + int(port)] = len(orows)
+                # a credit return on the port re-arms the cells parked on
+                # its row; every reader keeps the port's plain lists
+                oport._orow = len(orows)
+                oport._aunpark = self._unpark_orow
                 orows.append(oport)
                 self.orow_link.append(r.out_links.get(port))
         self.orow_oport = orows
-        self.n_orow = len(orows)
-        self._parked_by_orow = [[] for _ in range(self.n_orow)]
-        self.credits2d = np.zeros((self.n_orow, vmax), np.int64)
-        self.busy2d = np.zeros((self.n_orow, vmax), bool)
-        #: static per-vnet column masks over the output cells (a column is
-        #: an output VC; its vnet depends on the *peer* router's VC split).
-        self.ovc_mask3 = np.zeros((self.n_vnets, self.n_orow, vmax), bool)
-        self.credits_flat = self.credits2d.reshape(-1)
-        self.busy_flat = self.busy2d.reshape(-1)
-        for orow, oport in enumerate(orows):
-            n_vcs = len(oport.credits)
-            self.credits2d[orow, :n_vcs] = oport.credits
-            self.busy2d[orow, :n_vcs] = oport.vc_busy
-            for ovc in range(n_vcs):
-                self.ovc_mask3[ovc // oport.vcs_per_vnet, orow, ovc] = True
-            # bind the port's mirror hooks: the three scalar mutation
-            # sites (allocate / consume_credit / return_credit) write
-            # through to the global arrays, while the port's own lists
-            # stay plain Python for every reader
-            oport._obase = orow * vmax
-            oport._acred = self.credits_flat
-            oport._abusy = self.busy_flat
-            oport._aunpark = self.unpark_base
-        # plain-list twins for the per-item lookups in the batch loops
-        # (scalar numpy indexing is ~10x a list index)
-        self.outrow_flat_l = self.outrow_flat.tolist()
-        self.cell_rbase_l = self.cell_rbase.tolist()
-        self.vct_cell_l = self.vct_cell.tolist()
-        #: outgoing-link order / latency per output row (-1 where the
-        #: port has no link) — the flit-side twin of ``row_inlord``.
-        self.orow_lord = np.asarray(
-            [-1 if lk is None else lk._order for lk in self.orow_link],
-            np.int64,
-        )
-        self.orow_lat = np.asarray(
-            [0 if lk is None else lk.latency for lk in self.orow_link],
-            np.int64,
-        )
+        self._parked_by_orow = [[] for _ in orows]
 
     def _build_links(self, net) -> None:
         np = _np
@@ -326,9 +249,6 @@ class VectorEngine:
                 link._src_router = src_r
                 link._dst_iport = iport
                 link._dst_vcs = iport.vcs
-                link._cell_base = (
-                    self.row_index[(dst_r.rid, link.dst_port)] * self.vmax
-                )
                 link._dst_pt = link.dst_port
                 link._src_oport = src_r.out_ports[link.src_port]
                 link._batch_ok = True
@@ -341,9 +261,6 @@ class VectorEngine:
                 link._dst_router = dst_r
                 link._dst_iport = iport
                 link._dst_vcs = iport.vcs
-                link._cell_base = (
-                    self.row_index[(dst_r.rid, Port.LOCAL)] * self.vmax
-                )
                 link._dst_pt = Port.LOCAL
                 link._src_ni = net.nis[link.src]
                 link._batch_ok = True
@@ -380,20 +297,10 @@ class VectorEngine:
                 self.head_due[cell] = (
                     vc.queue[0].arrival_cycle + vc._dly if vc.queue else _NEVER
                 )
-                op = vc._out_port
-                self.out_port_a[cell] = -1 if op is None else int(op)
-                self.out_vc_a[cell] = vc._out_vc
                 self.tagged[cell] = vc._popup_tagged
-        for oport in r.out_ports.values():
-            b = oport._obase
-            if b < 0:
-                continue
-            n_vcs = len(oport.credits)
-            self.credits_flat[b : b + n_vcs] = oport.credits
-            self.busy_flat[b : b + n_vcs] = oport.vc_busy
 
     # ------------------------------------------------------------------ #
-    # blocked-candidate parking (see switch_phase step 6b)
+    # blocked-candidate parking (see ``_evaluate``)
     #
     # A parked cell re-enters the candidate scan only through one of
     # these re-arm events; each is *conservative* — unparking a cell
@@ -401,16 +308,10 @@ class VectorEngine:
     # a missed unpark would stall a movable head (the sanitizer's
     # ``verify_mirrors`` cross-checks that no parked head is movable).
 
-    def unpark_base(self, base: int) -> None:
-        """Re-arm after a scalar credit return on an output port (the
-        write-through site passes the port's flat array base)."""
-        cells = self._parked_by_orow[base // self.vmax]
-        if cells:
-            self._unpark_cells(cells)
-
     def _unpark_orow(self, orow: int) -> None:
         """Re-arm every cell blocked on one output row (credit arrival
-        or VC release changed the row's state)."""
+        or VC release changed the row's state; also bound as every
+        :class:`~repro.noc.buffer.OutputPort`'s ``return_credit`` hook)."""
         cells = self._parked_by_orow[orow]
         if cells:
             self._unpark_cells(cells)
@@ -440,8 +341,11 @@ class VectorEngine:
 
         Used by the invariant sanitizer's deep sweep: the write-through
         hooks are only correct if they cover *every* mutation site, so
-        this re-derives the expected array state from the object state
-        and reports any divergence (empty list = coherent)."""
+        this re-derives the expected array state (``head_due``,
+        ``tagged``, ``link_due`` / ``due_box``) from the object state,
+        checks that every parked head is still blocked on its output
+        port's credit lists, and reports any divergence (empty list =
+        coherent)."""
         problems: List[str] = []
         vmax = self.vmax
         for row, iport in enumerate(self.row_iport):
@@ -459,16 +363,6 @@ class VectorEngine:
                     problems.append(
                         f"{where}: head_due={self.head_due[cell]} != {due}"
                     )
-                op = -1 if vc._out_port is None else int(vc._out_port)
-                if self.out_port_a[cell] != op:
-                    problems.append(
-                        f"{where}: out_port={self.out_port_a[cell]} != {op}"
-                    )
-                if self.out_vc_a[cell] != vc._out_vc:
-                    problems.append(
-                        f"{where}: out_vc={self.out_vc_a[cell]} "
-                        f"!= {vc._out_vc}"
-                    )
                 if bool(self.tagged[cell]) != vc._popup_tagged:
                     problems.append(
                         f"{where}: tagged={bool(self.tagged[cell])} "
@@ -483,8 +377,8 @@ class VectorEngine:
                         problems.append(f"{where}: parked but unrouted")
                     else:
                         oport = r.out_ports[vc._out_port]
-                        if vc._out_vc >= 0:
-                            movable = oport.credits[vc._out_vc] > 0
+                        if vc.out_vc >= 0:
+                            movable = oport.credits[vc.out_vc] > 0
                         else:
                             need = (
                                 vc.queue[0].packet.size
@@ -496,24 +390,6 @@ class VectorEngine:
                             problems.append(
                                 f"{where}: parked but head is movable"
                             )
-        for r in self.net.routers.values():
-            for port, oport in r.out_ports.items():
-                b = oport._obase
-                if b < 0:
-                    continue
-                n_vcs = len(oport.credits)
-                if list(self.credits_flat[b : b + n_vcs]) != oport.credits:
-                    problems.append(
-                        f"router {r.rid} {port.name}: credits "
-                        f"{self.credits_flat[b:b + n_vcs].tolist()} "
-                        f"!= {oport.credits}"
-                    )
-                if [bool(x) for x in self.busy_flat[b : b + n_vcs]] != list(
-                    oport.vc_busy
-                ):
-                    problems.append(
-                        f"router {r.rid} {port.name}: vc_busy mirrors diverge"
-                    )
         for link in self.links_by_order:
             dues = [t[0] for t in link._flits] + [t[0] for t in link._credits]
             due = min(dues) if dues else _NEVER
@@ -541,16 +417,12 @@ class VectorEngine:
         goes through the legacy step, so their mirror bindings are
         removed and their links excluded from batch delivery — they pay
         no write-through cost at all."""
-        vmax = self.vmax
-        self.upp_routers = []
+        routers = self.net.routers
+        self.upp_routers = [
+            routers[rid] for rid in sorted(routers)
+            if routers[rid].upp is not None
+        ]
         self.pinned_rids = set()
-        for row, r in enumerate(self.row_router):
-            if r.upp is not None and (not self.upp_routers or
-                                      self.upp_routers[-1] is not r):
-                self.upp_routers.append(r)
-            if r.upp is not None:
-                lo = row * vmax
-                self.cell_upp[lo:lo + vmax] = True
         for r in self.net.routers.values():
             if r.rc_unit is None or r.rid in self.pinned_rids:
                 continue
@@ -560,7 +432,7 @@ class VectorEngine:
                 for vc in iport.vcs:
                     vc._cell = -1
             for oport in r.out_ports.values():
-                oport._obase = -1
+                oport._orow = -1
             lo, hi = self.cell_span[r.rid]
             self.head_due[lo:hi] = _NEVER
             self.tagged[lo:hi] = False
@@ -580,12 +452,13 @@ class VectorEngine:
 
         Batch-eligible router links (no pinned-scalar endpoint) drain
         inline: flit objects are appended to the destination VC deques
-        with the same protocol checks as :meth:`VirtualChannel.push`,
-        while the array bookkeeping — head eligibility of VCs that were
-        empty, credit mirrors — is applied in one vectorized epilogue.  Signals
-        and popup flits keep the scalar receive path (their side effects
-        are scheme state), as do NI links and pinned routers via the
-        scalar :meth:`Network._deliver_one`."""
+        with the same protocol checks as :meth:`VirtualChannel.push` (a
+        VC that was empty gets its head eligibility stored), and credits
+        land in the source port's lists, re-arming the cells parked on
+        that output row.  Signals and popup flits keep the scalar
+        receive path (their side effects are scheme state), as do NI
+        links and pinned routers via the scalar
+        :meth:`Network._deliver_one`."""
         np = _np
         if self.due_box[0] > cycle:
             self._delivered = False
@@ -601,9 +474,8 @@ class VectorEngine:
         net = self.net
         deliver_one = net._deliver_one
         router_kind = Link.ROUTER
-        # cells whose VC was empty: their new head needs a due cycle
-        cells_l: List[int] = []
-        cred_l: List[int] = []
+        head_due = self.head_due
+        by_orow = self._parked_by_orow
         nact = 0  # delivered flits (network activity), all batched links
         ntrav = 0  # router-to-router subset (link_traversals)
         for order in ready.tolist():
@@ -666,7 +538,7 @@ class VectorEngine:
                             flit.arrival_cycle = cycle
                             queue.append(flit)
                             if len(queue) == 1:
-                                cells_l.append(link._cell_base + out_vc)
+                                head_due[vc._cell] = cycle + vc._dly
                             pushed += 1
                         nact += npop
                         if link.kind == router_kind:
@@ -694,19 +566,20 @@ class VectorEngine:
                         ocr = oport.credits
                         obusy = oport.vc_busy
                         oown = oport.vc_owner
-                        b = oport._obase
-                        busy_flat = self.busy_flat
                         while credits and credits[0][0] <= cycle:
                             credit = credits.popleft()[1]
                             cvc = credit.vc
                             ocr[cvc] += 1
-                            cred_l.append(b + cvc)
                             if credit.vc_free:
                                 obusy[cvc] = False
                                 oown[cvc] = -1
-                                busy_flat[b + cvc] = False
                             if src_r._hibernating:
                                 src_r._wake()
+                        # fresh credits (and any VC releases riding on
+                        # them) re-arm the cells parked on this row
+                        cells = by_orow[oport._orow]
+                        if cells:
+                            self._unpark_cells(cells)
             flits = link._flits
             credits = link._credits
             next_due = flits[0][0] if flits else _NEVER
@@ -717,34 +590,6 @@ class VectorEngine:
             net.activity += nact
             net.link_traversals += ntrav
             self.batched_deliveries += nact
-        if cells_l:
-            if len(cells_l) <= 6:
-                # scalar stores beat fancy-indexing overhead at this size
-                head_due = self.head_due
-                cell_dly = self.cell_dly
-                for c in cells_l:
-                    head_due[c] = cycle + cell_dly[c]
-            else:
-                ca = np.asarray(cells_l)
-                self.head_due[ca] = cycle + self.cell_dly[ca]
-        if cred_l:
-            # one credit per (port, vc) per cycle by construction (a link
-            # carries at most one credit per send cycle), so plain fancy
-            # indexing is exact
-            if len(cred_l) <= 8:
-                credits_flat = self.credits_flat
-                for c in cred_l:
-                    credits_flat[c] += 1
-            else:
-                self.credits_flat[np.asarray(cred_l)] += 1
-            # fresh credits (and any VC releases riding on them) re-arm
-            # the cells parked on these output rows
-            by_orow = self._parked_by_orow
-            vmax = self.vmax
-            for c in cred_l:
-                cells = by_orow[c // vmax]
-                if cells:
-                    self._unpark_cells(cells)
         self.due_box[0] = due.min() if len(due) else _NEVER
 
     def switch_phase(self, cycle: int) -> None:
@@ -824,10 +669,8 @@ class VectorEngine:
 
         # 3. candidate cells: occupied, head past its SA-eligibility cycle,
         #    not reserved for a popup circuit, not parked on a blocked
-        #    verdict.  Everything below operates on this (small) index set
-        #    rather than the full cell arrays — at these network sizes
-        #    per-op numpy overhead dominates, so fewer/smaller ops beat
-        #    clever full-array masking.
+        #    verdict.  Parking keeps this set small, so everything below
+        #    runs per item over the plain object lists.
         cand = self.head_due <= cycle
         cand &= ~self.tagged
         cand &= ~self.parked
@@ -836,135 +679,22 @@ class VectorEngine:
             cand[lo:hi] = False
         ci = np.nonzero(cand)[0]
         grants_by_rid: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        if 0 < len(ci) <= SCALAR_EVAL_MAX:
-            # small candidate set (parking keeps lightly-loaded and
-            # deadlocked phases here): per-item evaluation of steps 4-7
-            # beats the fixed per-op cost of the batched chain below
-            self._eval_scalar(ci.tolist(), grants_by_rid, flagged)
-        elif len(ci):
-            # 4. lazy route computation, exactly where the scalar scan would
-            op_s = self.out_port_a[ci]
-            unrouted = np.nonzero(op_s < 0)[0]
-            if len(unrouted):
-                row_router, row_iport, row_port = (
-                    self.row_router, self.row_iport, self.row_port,
-                )
-                for cell in ci[unrouted].tolist():
-                    row, vc_idx = divmod(cell, vmax)
-                    vc = row_iport[row].vcs[vc_idx]
-                    flit = vc.queue[0]
-                    vc.out_port = row_router[row].route(
-                        row_port[row], flit.packet.dst, flit.packet.src
-                    )
-                op_s = self.out_port_a[ci]  # mirrors now hold the routes
+        if len(ci):
+            # 4. route, judge, park and arbitrate every candidate
+            self._evaluate(ci.tolist(), grants_by_rid, flagged)
 
-            # 5. blocked verdicts for all candidates at once
-            orow_s = self.outrow_flat[self.cell_rbase[ci] + op_s]
-            ovc_s = self.out_vc_a[ci]
-            body_s = ovc_s >= 0
-            blocked = (
-                self.credits_flat[orow_s * vmax + np.where(body_s, ovc_s, 0)]
-                <= 0
-            )
-            if not body_s.all():
-                # header flits need a free+credited output VC in their
-                # vnet — gather just the contested output rows instead of
-                # recomputing the full free map every cycle
-                hdr = np.nonzero(~body_s)[0]
-                ho = orow_s[hdr]
-                hdr_free = (
-                    ~self.busy2d[ho]
-                    & (self.credits2d[ho] > 0)
-                    & self.ovc_mask3[self.cell_vnet[ci[hdr]], ho]
-                ).any(axis=1)
-                blocked[hdr] = ~hdr_free
-                if self.any_vct:
-                    # virtual cut-through admits a header only when the
-                    # whole packet fits; re-derive those few verdicts from
-                    # the objects
-                    for sel in np.nonzero(self.vct_cell[ci] & ~body_s)[0]:
-                        cell = int(ci[sel])
-                        row, vc_idx = divmod(cell, vmax)
-                        vc = self.row_iport[row].vcs[vc_idx]
-                        oport = self.row_router[row].out_ports[vc.out_port]
-                        blocked[sel] = not oport.free_vcs(
-                            vc.vnet, vc.queue[0].packet.size
-                        )
-
-            # 6. upward-stall observability (UPP detection inputs); only
-            #    cells of routers that carry a popup unit are ever read
-            if self.upp_routers:
-                stall = blocked & ((op_s == _UP) | (op_s == _UP2))
-                stall &= self.cell_upp[ci]
-                if stall.any():
-                    cell_vnet_l = self.cell_vnet_l
-                    for cell in ci[stall].tolist():
-                        r = self.row_router[cell // vmax]
-                        r.stalled_up[cell_vnet_l[cell]] = True
-                        flagged[r.rid] = r
-
-            # 6b. park every blocked candidate: the verdict is a pure
-            #     function of downstream credit/allocation state and the
-            #     (fixed) head + route, so it cannot flip until an unpark
-            #     event fires — a credit or VC release on the output row,
-            #     a pop/untag/reroute of the cell, or a resync
-            bl = np.nonzero(blocked)[0]
-            if len(bl):
-                parked = self.parked
-                by_orow = self._parked_by_orow
-                row_router = self.row_router
-                cell_vnet_l = self.cell_vnet_l
-                for cell, orow, op in zip(
-                    ci[bl].tolist(), orow_s[bl].tolist(), op_s[bl].tolist()
-                ):
-                    parked[cell] = True
-                    by_orow[orow].append(cell)
-                    if op == _UP or op == _UP2:
-                        r = row_router[cell // vmax]
-                        if r.upp is not None:
-                            stall_parked[cell] = (r, cell_vnet_l[cell])
-
-            # 7. input-stage arbitration through the routers' real round-
-            #    robin arbiters (their pointers must advance exactly as in
-            #    the scalar sweep), grouped per router in row order
-            nb = ~blocked
-            reqcells = ci[nb].tolist()
-            if reqcells:
-                req_ops = op_s[nb].tolist()
-                req_ovcs = ovc_s[nb].tolist()
-                i, n = 0, len(reqcells)
-                while i < n:
-                    base = reqcells[i] - (reqcells[i] % vmax)
-                    limit = base + vmax
-                    j = i + 1
-                    while j < n and reqcells[j] < limit:
-                        j += 1
-                    row = base // vmax
-                    r = self.row_router[row]
-                    r.energy.sa_arbitrations += 1
-                    granted = r._in_arbiters[self.row_port[row]].grant_from(
-                        [c - base for c in reqcells[i:j]]
-                    )
-                    gcell = base + granted
-                    pos = reqcells.index(gcell, i, j)
-                    grants_by_rid.setdefault(r.rid, []).append(
-                        (row, gcell, req_ops[pos], req_ovcs[pos])
-                    )
-                    i = j
-
-        # 8. winner selection in ascending router order, interleaving
+        # 5. winner selection in ascending router order, interleaving
         #    scalar-path steps so RNG consumption and arbiter updates keep
         #    the legacy order (routers never observe each other within a
         #    cycle, so only these side-effect streams constrain the
         #    interleave); the winners' state movement itself is deferred
-        #    into one batched execution
+        #    into one deferred execution loop
         stepped = net.stepped_routers
         routers = net.routers
         exec_cells: List[int] = []
         exec_ops: List[int] = []
         exec_ovcs: List[int] = []
         row_router = self.row_router
-        vmax_ = vmax
         if python_rids:
             order = sorted(python_set | grants_by_rid.keys())
         else:
@@ -993,7 +723,7 @@ class VectorEngine:
                         exec_cells.append(g[1])
                         exec_ops.append(g[2])
                         exec_ovcs.append(ovc)
-                        energy = row_router[g[1] // vmax_].energy
+                        energy = row_router[g[1] // vmax].energy
                         energy.buffer_reads += 1
                         energy.xbar_traversals += 1
                         continue
@@ -1004,7 +734,7 @@ class VectorEngine:
         if exec_cells:
             self._execute(exec_cells, exec_ops, exec_ovcs, cycle)
 
-        # 9. UPP stall/progress observations for vector-path routers (the
+        # 6. UPP stall/progress observations for vector-path routers (the
         #    scalar step reports its own inside _switch_allocation).  An
         #    observation is a pure store of the two flags, so routers
         #    whose flags did not change since the detector last saw them
@@ -1045,37 +775,37 @@ class VectorEngine:
                     upp.observe(v, False, False)
                 observed[rid] = r
 
-        # 10. capture whether this evaluation was a fixed point (enables
-        #     the static fast path next cycle)
+        # 7. capture whether this evaluation was a fixed point (enables
+        #    the static fast path next cycle)
         static = not python_rids and not grants_by_rid and not active
         if static:
             pend = self.head_due[self.head_due > cycle]
             self._pending_due = int(pend.min()) if len(pend) else _NEVER
         self._static = static
 
-    def _eval_scalar(
+    def _evaluate(
         self,
         cells: List[int],
         grants_by_rid: Dict[int, List[Tuple[int, int, int, int]]],
         flagged: Dict[int, object],
     ) -> None:
-        """Steps 4-7 of :meth:`switch_phase` for a small candidate set.
+        """Step 4 of :meth:`switch_phase`: lazy route computation,
+        blocked verdicts, upward-stall flags, parking and input-stage
+        arbitration for the candidate cells, in ascending cell order.
 
-        Per-item object/list reads replace the batched numpy verdict
-        chain: at a couple dozen candidates the chain's fixed per-op
-        overhead dominates its throughput, so routing, blocked verdicts,
-        stall flags, parking and arbitration all run item-wise here.
-        Side-effect order matches the batched path — ascending cell
-        order throughout, arbitration after every verdict — and the
-        verdicts read the same write-through-coherent state (the plain
-        ``OutputPort`` lists instead of their array mirrors)."""
+        A blocked candidate is *parked*: its verdict is a pure function
+        of downstream credit/allocation state and the (fixed) head +
+        route, so it cannot flip until an unpark event fires — a credit
+        or VC release on the output row, a pop/untag/reroute of the
+        cell, or a resync.  Arbitration runs after every verdict, through
+        the routers' real round-robin arbiters (their pointers must
+        advance exactly as in the scalar sweep), grouped per input row."""
         vmax = self.vmax
         cell_vc = self.cell_vc
         row_router = self.row_router
         row_port = self.row_port
-        outrow_flat_l = self.outrow_flat_l
+        outrow_flat = self.outrow_flat
         cell_rbase_l = self.cell_rbase_l
-        cell_vnet_l = self.cell_vnet_l
         vct_cell_l = self.vct_cell_l
         orow_oport = self.orow_oport
         parked = self.parked
@@ -1095,9 +825,9 @@ class VectorEngine:
                     row_port[row], flit.packet.dst, flit.packet.src
                 )
             opi = int(op)
-            orow = outrow_flat_l[cell_rbase_l[cell] + opi]
+            orow = outrow_flat[cell_rbase_l[cell] + opi]
             oport = orow_oport[orow]
-            ovc = vc._out_vc
+            ovc = vc.out_vc
             if ovc >= 0:
                 blocked = oport.credits[ovc] <= 0
             else:
@@ -1109,7 +839,7 @@ class VectorEngine:
                 if upp_any and (opi == _UP or opi == _UP2):
                     r = row_router[cell // vmax]
                     if r.upp is not None:
-                        v = cell_vnet_l[cell]
+                        v = vc.vnet
                         r.stalled_up[v] = True
                         flagged[r.rid] = r
                         stall_parked[cell] = (r, v)
@@ -1149,8 +879,8 @@ class VectorEngine:
         """Output-stage arbitration + VC selection for one vector-path
         router, reproducing the scalar nomination order: grants arrive in
         input-port scan order, so first-nomination dict order matches.
-        Winners are appended to the batch-execution lists instead of
-        traversing one by one."""
+        Winners are appended to the deferred-execution lists instead of
+        traversing inside the per-router loop."""
         if len(grants) == 1:
             winners = grants
         else:
@@ -1183,16 +913,15 @@ class VectorEngine:
                             )
                         )
         cell_vc = self.cell_vc
-        outrow_flat_l = self.outrow_flat_l
+        outrow_flat = self.outrow_flat
         cell_rbase_l = self.cell_rbase_l
         rng = r._rng
         for _row, cell, op, ovc in winners:
             if ovc < 0:
                 # header flit: VC selection through the object path (the
-                # allocate hook mirrors busy state; the RNG draw must
-                # happen here, in legacy order)
+                # RNG draw must happen here, in legacy order)
                 vc = cell_vc[cell]
-                oport = self.orow_oport[outrow_flat_l[cell_rbase_l[cell] + op]]
+                oport = self.orow_oport[outrow_flat[cell_rbase_l[cell] + op]]
                 free = oport.free_vcs(vc.vnet)
                 ovc = rng.choice(free) if len(free) > 1 else free[0]
                 vc.out_vc = ovc
@@ -1212,49 +941,37 @@ class VectorEngine:
         ovcs: List[int],
         cycle: int,
     ) -> None:
-        """Batched switch traversal for every winner of this cycle.
+        """Switch traversal for every winner of this cycle.
 
         Per winner the object side is updated with plain list/deque
         operations (pop, credit decrement, link append, upstream credit
-        message); every array column is then updated with one fancy-
-        indexed store.  Deferring the winners out of the per-router loop
-        is safe because a traversal only mutates the traversing router's
-        own state and its outgoing links — state no other router reads
-        within the same cycle."""
-        np = _np
+        message) and the cell's ``head_due`` / ``tagged`` and the links'
+        ``link_due`` slots are stored directly.  Deferring the winners
+        out of the per-router loop is safe because a traversal only
+        mutates the traversing router's own state and its outgoing
+        links — state no other router reads within the same cycle."""
         vmax = self.vmax
         cell_vc = self.cell_vc
         row_router = self.row_router
         row_inlink = self.row_inlink
-        outrow_flat_l = self.outrow_flat_l
+        outrow_flat = self.outrow_flat
         cell_rbase_l = self.cell_rbase_l
         orow_oport = self.orow_oport
         orow_link = self.orow_link
+        head_due = self.head_due
+        tagged = self.tagged
+        link_due = self.link_due
         flagged = self._flags_dirty
-        n = len(cells)
-        self.batched_flits += n
-        # head SA-eligibility cycle of each winner's VC after its pop
-        dues_l: List[int] = [0] * n
-        orows_l: List[int] = [0] * n
-        tails: List[int] = []
-        # below ~8 winners the fancy-indexed epilogue costs more in numpy
-        # call overhead than it saves; collect per-item link dues and
-        # apply every column update with scalar stores instead
-        small = n <= 8
-        lorders: List[int] = []
-        ldues: List[int] = []
-        for i in range(n):
-            cell = cells[i]
-            ovc = ovcs[i]
+        self.batched_flits += len(cells)
+        box_min = _NEVER
+        for cell, op, ovc in zip(cells, ops, ovcs):
             vc = cell_vc[cell]
             queue = vc.queue
             flit = queue.popleft()
             vc._port.occupancy -= 1
-            dues_l[i] = queue[0].arrival_cycle + vc._dly if queue else _NEVER
-            orow = outrow_flat_l[cell_rbase_l[cell] + ops[i]]
-            orows_l[i] = orow
-            oport = orow_oport[orow]
-            oport.credits[ovc] -= 1
+            head_due[cell] = queue[0].arrival_cycle + vc._dly if queue else _NEVER
+            orow = outrow_flat[cell_rbase_l[cell] + op]
+            orow_oport[orow].credits[ovc] -= 1
             link = orow_link[orow]
             if link.faulty:
                 raise RuntimeError(
@@ -1267,13 +984,13 @@ class VectorEngine:
             if not link._busy and link._sched is not None:
                 link._busy = True
                 link._sched.wake_link(link)
-            if small:
-                lorders.append(link._order)
-                ldues.append(due)
+            if due < link_due[link._order]:
+                link_due[link._order] = due
+            if due < box_min:
+                box_min = due
             packet = flit.packet
             if flit.seq == 0:
                 packet.hops += 1
-            op = ops[i]
             row = cell // vmax
             if op == _UP or op == _UP2:
                 r = row_router[row]
@@ -1283,11 +1000,11 @@ class VectorEngine:
                     r.upp.on_normal_up_departure(r, flit, cycle)
             is_tail = flit.is_tail
             if is_tail:
-                tails.append(i)
                 vc.active_pid = -1
                 vc._out_port = None
-                vc._out_vc = -1
+                vc.out_vc = -1
                 vc._popup_tagged = False
+                tagged[cell] = False
             inlink = row_inlink[row]
             if inlink is not None:
                 cdue = cycle + inlink.latency
@@ -1295,63 +1012,9 @@ class VectorEngine:
                 if not inlink._busy and inlink._sched is not None:
                     inlink._busy = True
                     inlink._sched.wake_link(inlink)
-                if small:
-                    lorders.append(inlink._order)
-                    ldues.append(cdue)
-        if small:
-            # ---- scalar epilogue (few winners) ----
-            head_due = self.head_due
-            credits_flat = self.credits_flat
-            for i in range(n):
-                head_due[cells[i]] = dues_l[i]
-                credits_flat[orows_l[i] * vmax + ovcs[i]] -= 1
-            if tails:
-                out_port_a = self.out_port_a
-                out_vc_a = self.out_vc_a
-                tagged = self.tagged
-                for i in tails:
-                    cell = cells[i]
-                    out_port_a[cell] = -1
-                    out_vc_a[cell] = -1
-                    tagged[cell] = False
-            link_due = self.link_due
-            box = self.due_box
-            for o, d in zip(lorders, ldues):
-                if d < link_due[o]:
-                    link_due[o] = d
-                if d < box[0]:
-                    box[0] = d
-            return
-        # ---- vectorized epilogue ----
-        ca = np.asarray(cells)
-        self.head_due[ca] = dues_l
-        if tails:
-            tc = ca[np.asarray(tails)]
-            self.out_port_a[tc] = -1
-            self.out_vc_a[tc] = -1
-            self.tagged[tc] = False
-        # one winner per (router, out_port) -> unique flat credit slots
-        orows_a = np.asarray(orows_l)
-        self.credits_flat[orows_a * vmax + np.asarray(ovcs)] -= 1
-        # link-due mirrors: flit dues from the output-row gather, credit
-        # dues from the input-row gather (rows without an upstream link
-        # are masked out).  A link can appear for both a forwarded flit
-        # and a returned credit, so the update needs the duplicate-safe
-        # reduction.
-        lorders_a = self.orow_lord[orows_a]
-        ldues_a = cycle + 1 + self.orow_lat[orows_a]
-        rows_a = ca // vmax
-        corders = self.row_inlord[rows_a]
-        has_cred = corders >= 0
-        if has_cred.all():
-            cdues = cycle + self.row_inlat[rows_a]
-        else:
-            rows_a = rows_a[has_cred]
-            corders = corders[has_cred]
-            cdues = cycle + self.row_inlat[rows_a]
-        all_ord = np.concatenate((lorders_a, corders))
-        all_due = np.concatenate((ldues_a, cdues))
-        np.minimum.at(self.link_due, all_ord, all_due)
-        m = int(all_due.min())
-        if m < self.due_box[0]:
-            self.due_box[0] = m
+                if cdue < link_due[inlink._order]:
+                    link_due[inlink._order] = cdue
+                if cdue < box_min:
+                    box_min = cdue
+        if box_min < self.due_box[0]:
+            self.due_box[0] = box_min

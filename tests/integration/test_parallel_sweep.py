@@ -47,6 +47,31 @@ def test_warm_cache_executes_zero_simulations(tmp_path):
     assert warm.stats.cached == len(RATES)
 
 
+def test_legacy_datapath_reads_a_vector_filled_cache(tmp_path):
+    """The engine is not part of a point's identity: a legacy-datapath
+    sweep over a cache a vector sweep filled simulates nothing."""
+    import dataclasses
+
+    preset = api.load_preset("baseline")
+
+    def on(datapath):
+        return dataclasses.replace(
+            preset, config=dataclasses.replace(preset.config, datapath=datapath)
+        )
+
+    cold = ExperimentRunner(jobs=1, cache=ResultCache(tmp_path))
+    first = api.run_sweep(
+        on("vector"), "upp", "uniform_random", RATES, runner=cold, **WINDOW
+    )
+    assert cold.stats.executed == len(RATES)
+    warm = ExperimentRunner(jobs=1, cache=ResultCache(tmp_path))
+    replay = api.run_sweep(
+        on("legacy"), "upp", "uniform_random", RATES, runner=warm, **WINDOW
+    )
+    assert warm.stats.executed == 0
+    assert sweep_to_rows(replay) == sweep_to_rows(first)
+
+
 def test_workload_through_runner_matches_inline(tmp_path):
     """The spec/worker path must reproduce the legacy in-process path."""
     from repro.noc.config import NocConfig

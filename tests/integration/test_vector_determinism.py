@@ -306,3 +306,45 @@ class TestMirrorCoherence:
         engine = sim.network.vector
         assert engine is not None and engine.batched_flits > 0
         assert engine.verify_mirrors() == []
+
+    def test_credit_return_rearms_a_parked_body_flit(self):
+        """Parking's re-arm invariant: a body flit parked on an exhausted
+        output VC re-enters the scan only through
+        ``OutputPort.return_credit``.  A raw credit write skips the
+        re-arm, and ``verify_mirrors`` must report the stranded head."""
+        cfg = engine_config(table2_config(), "vector")
+        sim = Simulation(
+            large_topology(), cfg, make_scheme("upp", table2_upp_config())
+        )
+        install_synthetic_traffic(sim.network, "uniform_random", 0.3)
+        engine = sim.network.vector
+        found = None
+        for _ in range(2000):
+            sim.network.step()
+            found = next(
+                (
+                    cell for cell in engine.parked.nonzero()[0].tolist()
+                    if engine.cell_vc[cell].out_vc >= 0
+                ),
+                None,
+            )
+            if found is not None:
+                break
+        assert found is not None, "no body flit parked under saturation"
+        row = found // engine.vmax
+        vc = engine.cell_vc[found]
+        oport = engine.row_router[row].out_ports[vc.out_port]
+        ovc = vc.out_vc
+        assert oport.credits[ovc] == 0
+        assert engine.verify_mirrors() == []
+
+        oport.credits[ovc] += 1  # bypasses the re-arm hook
+        where = f"router {engine.row_router[row].rid} {engine.row_port[row].name}"
+        assert f"{where} vc{vc.vc_index}: parked but head is movable" in (
+            engine.verify_mirrors()
+        )
+
+        oport.credits[ovc] -= 1
+        oport.return_credit(ovc, False)
+        assert not engine.parked[found]
+        assert engine.verify_mirrors() == []

@@ -177,6 +177,33 @@ class TestCommands:
         assert "--max-age-days" in capsys.readouterr().err
         assert len(cache.entries()) == 1  # cache untouched
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rates", "1.5"),
+            ("--rates", "0"),
+            ("--rates", "0.01,abc"),
+            ("--rates", "nan"),
+            ("--warmup", "-1"),
+            ("--measure", "0"),
+        ],
+    )
+    def test_sweep_rejects_out_of_range_window_or_rate(
+        self, capsys, tmp_path, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, value, "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.rglob("*.json"))  # nothing cached
+
+    def test_sweep_parses_rates_and_windows(self):
+        args = build_parser().parse_args(
+            ["sweep", "--rates", "0.01,1", "--warmup", "0", "--measure", "1"]
+        )
+        assert args.rates == [0.01, 1.0]
+        assert (args.warmup, args.measure) == (0, 1)
+
     def test_cache_gc_removes_only_entries_older_than_age(self, capsys, tmp_path):
         import json
         import time

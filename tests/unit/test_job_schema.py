@@ -134,6 +134,25 @@ class TestValidateJob:
     def test_rate_interval_is_closed(self, rate):
         assert validate_job(sweep_spec(rate=rate))["rate"] == rate
 
+    @pytest.mark.parametrize(
+        "window", [{"warmup": -1}, {"measure": 0}, {"measure": -5}]
+    )
+    def test_sweep_window_outside_service_bounds_rejected(self, window):
+        with pytest.raises(JobSchemaError, match="warmup >= 0 and measure > 0"):
+            validate_job(sweep_spec(**window))
+
+    def test_zero_warmup_accepted(self):
+        assert validate_job(sweep_spec(warmup=0))["warmup"] == 0
+
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_workload_without_cycle_budget_rejected(self, max_cycles):
+        spec = workload_spec(
+            "baseline", NocConfig(vcs_per_vnet=1), "upp",
+            get_workload("blackscholes", scale=0.05), max_cycles=max_cycles,
+        )
+        with pytest.raises(JobSchemaError, match="'max_cycles' must be positive"):
+            validate_job(spec)
+
     def test_bool_does_not_pass_as_integer(self):
         with pytest.raises(JobSchemaError, match="'warmup'"):
             validate_job(sweep_spec(warmup=True))

@@ -25,6 +25,28 @@ class TestCacheKey:
     def test_sensitive_to_spec_content(self):
         assert cache_key(SPEC) != cache_key({**SPEC, "rate": 0.06})
 
+    def test_engine_choice_shares_the_key(self):
+        """``NocConfig.NON_SEMANTIC_FIELDS`` stay out of the key: a vector
+        and a legacy run of one point are the same cache entry."""
+        from repro.exp.tasks import sweep_point_spec
+        from repro.noc.config import NocConfig
+
+        vector, legacy = (
+            sweep_point_spec(
+                "baseline", NocConfig(datapath=datapath), "upp",
+                "uniform_random", 0.05, 200, 600,
+            )
+            for datapath in ("vector", "legacy")
+        )
+        assert vector["cfg"] != legacy["cfg"]
+        assert cache_key(vector) == cache_key(legacy)
+        assert cache_key(vector) != cache_key(
+            sweep_point_spec(
+                "baseline", NocConfig(vcs_per_vnet=2), "upp",
+                "uniform_random", 0.05, 200, 600,
+            )
+        )
+
     def test_embeds_code_identity(self, monkeypatch):
         base = cache_key(SPEC)
         monkeypatch.setattr("repro.exp.cache.CODE_VERSION", CODE_VERSION + "-x")

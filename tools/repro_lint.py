@@ -20,13 +20,17 @@ arguments depend on:
   sub-packages, counting module-level imports only (function-local lazy
   imports are the sanctioned way to break a would-be cycle).
 * **R004 — mirror write-through**: the vector datapath keeps numpy
-  mirrors of VC route/allocation state, output-port credits and link
-  delivery queues; every mutation of a mirror-backed attribute inside
+  mirrors of VC head eligibility / popup tags and link delivery queues,
+  and parks blocked heads until a route change, pop or credit return
+  re-arms them; every mutation of a mirror-backed attribute inside
   ``src/repro/noc`` and ``src/repro/schemes`` must flow through a
   ``@mirror_hook``-decorated write-through site (the property setters
   and mutator methods in ``repro.noc.buffer`` / ``repro.noc.link`` and
-  the network's link drain).  A raw rebind, subscript write or container
-  mutation anywhere else silently desynchronises the arrays.  The pass
+  the network's link drain).  Output-port ``credits`` / ``vc_busy``
+  have no array but stay covered, because ``OutputPort.return_credit``
+  is the re-arm event for cells parked on the port.  A raw rebind,
+  subscript write or container mutation anywhere else silently
+  desynchronises the arrays or strands a parked head.  The pass
   tracks simple local aliases (``flits = link._flits`` followed by
   ``flits.popleft()``) and flags ``.queue`` mutations only on VC-like
   receivers (``vc.queue.append`` — VC queues must go through
@@ -83,15 +87,16 @@ R004_SCOPES = ("repro/noc", "repro/schemes")
 #: binds them to objects) and the marker module itself.
 R004_EXEMPT_FILES = ("repro/noc/vector.py", "repro/noc/mirror.py")
 
-#: attributes with a numpy mirror (kept in sync with
-#: ``repro.noc.mirror.MIRRORED_ATTRS`` — the lint must stay stdlib-only,
-#: so the set is duplicated here and cross-checked by the test suite).
+#: attributes with a numpy mirror or a parking re-arm hook (kept in sync
+#: with ``repro.noc.mirror.MIRRORED_ATTRS`` — the lint must stay
+#: stdlib-only, so the set is duplicated here and cross-checked by the
+#: test suite).
 R004_MIRRORED_ATTRS = {
-    "_out_port", "_out_vc", "_popup_tagged",
-    "_cell", "_adue", "_aop", "_aovc", "_atag", "_aeng",
-    "credits", "vc_busy", "_obase", "_acred", "_abusy", "_aunpark",
+    "_out_port", "_popup_tagged",
+    "_cell", "_adue", "_atag", "_aeng",
+    "credits", "vc_busy", "_orow", "_aunpark",
     "_flits", "_credits", "_vec_due", "_vec_min",
-    "_batch_ok", "_cell_base", "_dst_vcs", "_dst_iport",
+    "_batch_ok", "_dst_vcs", "_dst_iport",
     "_dst_router", "_src_router", "_src_oport",
     "_dst_pt", "_src_ni", "_dst_ni",
 }
