@@ -231,9 +231,36 @@ def _rates(text: str) -> List[float]:
     return rates
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite number > 0 (a workload scale)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port number (0 binds an ephemeral port)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a TCP port in 0-65535, got {text!r}"
+        )
+    return value
+
+
 def _int_at_least(minimum: int):
-    """argparse type factory: an integer >= ``minimum`` (the service's
-    window bounds, so the CLI never caches a point the service rejects)."""
+    """argparse type factory: an integer >= ``minimum`` (the sweep
+    windows match the service's bounds, so the CLI never caches a point
+    the service rejects)."""
 
     def parse(text: str) -> int:
         try:
@@ -299,7 +326,7 @@ def cmd_serve(args) -> int:
 
 
 def _add_runner_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
                    help="worker processes (default: REPRO_JOBS or serial)")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: REPRO_CACHE_DIR)")
@@ -330,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcs", type=int, choices=(1, 4), default=1)
     p.add_argument("--warmup", type=_int_at_least(0), default=500)
     p.add_argument("--measure", type=_int_at_least(1), default=2500)
-    p.add_argument("--threshold", type=int, default=20)
+    p.add_argument("--threshold", type=_int_at_least(1), default=20)
     p.add_argument("--topology", choices=topologies, default="baseline")
     _add_runner_options(p)
     p.add_argument("--expect-cached", action="store_true",
@@ -339,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workload", help="coherence workload across schemes")
     p.add_argument("name", choices=tuple(workload_names()))
-    p.add_argument("--scale", type=float, default=0.25)
+    p.add_argument("--scale", type=_positive_finite, default=0.25)
     p.add_argument("--vcs", type=int, choices=(1, 4), default=1)
     p.add_argument("--topology", choices=topologies, default="baseline")
     _add_runner_options(p)
@@ -362,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(scheme_names()) + ("all",),
         default="all",
     )
-    p.add_argument("--faults", type=int, default=0,
+    p.add_argument("--faults", type=_int_at_least(0), default=0,
                    help="re-certify after N runtime link-pair failures")
     p.add_argument("--seed", type=int, default=2022)
-    p.add_argument("--witnesses", type=int, default=0,
+    p.add_argument("--witnesses", type=_int_at_least(0), default=0,
                    help="print up to N witness cycles / route defects")
     p.add_argument("--witness", action="store_true",
                    help="render witness cycles as concrete channel chains "
@@ -417,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="async sweep service (HTTP/JSON job queue, SSE progress)"
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8787,
+    p.add_argument("--port", type=_port, default=8787,
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--queue-dir", default="~/.cache/repro-queue",
                    help="persistent job-queue directory (crash-safe resume)")
@@ -426,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiered", action="store_true",
                    help="front the cache dir with a tiered backend "
                         "(local L1 over an in-process memory L2)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
                    help="simulation worker processes per job (default serial)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_int_at_least(1), default=2,
                    help="concurrent jobs executed by the service")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=_int_at_least(0), default=2,
                    help="per-job retries on a broken worker pool")
     p.set_defaults(fn=cmd_serve)
 

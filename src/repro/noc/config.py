@@ -20,17 +20,6 @@ def _sanitize_default() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
-def _datapath_default() -> str:
-    """Default datapath engine, overridable via ``REPRO_DATAPATH``.
-
-    The environment hook lets an existing test/bench suite be run
-    against the legacy scalar core without touching every configuration
-    site (``REPRO_DATAPATH=legacy pytest ...``), mirroring the
-    ``REPRO_SANITIZE`` pattern.
-    """
-    return os.environ.get("REPRO_DATAPATH", "") or "vector"
-
-
 @dataclass
 class NocConfig:
     """Microarchitectural parameters shared by every router and NI.
@@ -65,11 +54,6 @@ class NocConfig:
     #: the high-water mark so tests can verify the paper's no-contention
     #: argument (Sec. V-B5) holds.
     signal_buffer_capacity: int = 8
-    #: debug flag: evaluate every router/NI/link every cycle (the pre
-    #: active-set sweep) instead of only woken components.  Simulation
-    #: results are bit-identical either way; the sweep exists so the
-    #: determinism regression tests can prove it.
-    full_sweep: bool = False
     #: opt-in runtime invariant sanitizer (:mod:`repro.analysis.sanitizer`):
     #: conservation + protocol-legality checks wired into the core.  The
     #: sanitizer is read-only, so enabling it cannot change results.
@@ -79,13 +63,13 @@ class NocConfig:
     #: O(1) counter checks run every cycle regardless.  0 disables the
     #: periodic deep sweep (it still runs at drain and reconfiguration).
     sanitize_interval: int = 256
-    #: per-cycle evaluation engine: ``"vector"`` (struct-of-arrays numpy
-    #: batch scans over credits / VC state / link timers) or ``"legacy"``
-    #: (the pure-Python scalar core, preserved verbatim).  The two are
-    #: bit-identical — the determinism suite proves it — so the choice is
-    #: excluded from :meth:`fingerprint`.  Defaults to the
-    #: ``REPRO_DATAPATH`` environment variable, else ``"vector"``.
-    datapath: str = field(default_factory=_datapath_default)
+    #: per-cycle evaluation engine: ``"vector"`` (the production engine:
+    #: numpy scans over head eligibility / link timers driving the
+    #: active router set) or ``"legacy"`` (the scalar reference sweep,
+    #: visiting every component every cycle).  The two are bit-identical
+    #: — the determinism suite proves it — so the choice is excluded
+    #: from :meth:`fingerprint`.
+    datapath: str = "vector"
 
     #: fields that select an execution strategy rather than simulated
     #: behaviour; excluded from the result-cache fingerprint so runs that

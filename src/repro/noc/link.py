@@ -6,9 +6,9 @@ network at the start of each cycle, which keeps router evaluation
 order-independent: everything a router sends during cycle *t* becomes
 visible to its neighbour no earlier than cycle *t + latency*.
 
-Links participate in the network's active-set scheduler: the first send
-onto an empty link registers it with the scheduler, so the delivery phase
-touches only links with an in-flight payload.
+Under the vector engine each send also lowers the link's slot in the
+engine's delivery-due array, so the delivery phase touches only links
+with a payload due.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class Link:
         "flits_carried",
         "faulty",
         "_sched",
-        "_busy",
         "kind",
         "_order",
         "_vec_due",
@@ -81,8 +80,6 @@ class Link:
         self.faulty = False
         #: network scheduler (set by the owning network); None standalone.
         self._sched = None
-        #: True while registered in the scheduler's busy-link set.
-        self._busy = False
         #: delivery-dispatch category (ROUTER / NI_UP / NI_DOWN).
         self.kind = Link.ROUTER
         #: position in the network's delivery order (full-sweep order).
@@ -114,11 +111,6 @@ class Link:
         self._src_ni = None
         self._dst_ni = None
 
-    def _register(self) -> None:
-        if not self._busy and self._sched is not None:
-            self._busy = True
-            self._sched.wake_link(self)
-
     @mirror_hook
     def send_flit(self, flit, out_vc: int, cycle: int) -> None:
         """Enqueue a flit departing the upstream switch at ``cycle`` (ST);
@@ -135,13 +127,8 @@ class Link:
             box = self._vec_min
             if due < box[0]:
                 box[0] = due
-        sched = self._sched
-        if sched is not None:
-            if flit.is_signal:
-                sched.note_signal_entered_link()
-            if not self._busy:
-                self._busy = True
-                sched.wake_link(self)
+        if flit.is_signal and self._sched is not None:
+            self._sched.note_signal_entered_link()
 
     @mirror_hook
     def send_credit(self, credit, cycle: int) -> None:
@@ -155,9 +142,6 @@ class Link:
             box = self._vec_min
             if due < box[0]:
                 box[0] = due
-        if not self._busy and self._sched is not None:
-            self._busy = True
-            self._sched.wake_link(self)
 
     @mirror_hook
     def deliver_flits(self, cycle: int):

@@ -10,13 +10,16 @@ Cycle semantics (order-independent router evaluation):
 4. **Scheme evaluation** — UPP deadlock detection runs here, after the
    cycle's movements are known.
 
-The network runs these phases over an **active set** rather than sweeping
-every component: links register themselves when they acquire an in-flight
-payload, routers and NIs when their state changes (flit/credit/signal
-delivery, injection, scheme action, or an explicit future-cycle timer).
-Components are evaluated in ascending id order — the same relative order
-as the full sweep — so simulation results are bit-identical to the debug
-sweep kept behind ``NocConfig.full_sweep``.
+The production engine (``NocConfig.datapath="vector"``,
+:mod:`repro.noc.vector`) runs these phases over an **active set** rather
+than sweeping every component: routers and NIs register themselves when
+their state changes (flit/credit/signal delivery, injection, scheme
+action, or an explicit future-cycle timer), and links are found by the
+engine's delivery-due scan.  Components are evaluated in ascending id
+order — the same relative order as the full sweep — so simulation
+results are bit-identical to the scalar reference sweep that
+``datapath="legacy"`` selects, which visits every link, dirty router and
+NI every cycle.
 """
 
 from __future__ import annotations
@@ -76,9 +79,6 @@ class Network:
         self._ni_up_links: List[Link] = []  # NI -> router
 
         # ---- active-set scheduler state ----
-        #: links with an in-flight payload, keyed by delivery order (the
-        #: position the full sweep would visit them in).
-        self._busy_links: Dict[int, Link] = {}
         #: woken routers / NIs keyed by id (iterated in sorted order).
         self._active_routers: Dict[int, Router] = {}
         self._active_nis: Dict[int, NetworkInterface] = {}
@@ -112,11 +112,11 @@ class Network:
             router.routing = self.routing
 
         #: struct-of-arrays vector datapath engine (``cfg.datapath``);
-        #: None under the legacy scalar core or the debug full sweep.
+        #: None under the scalar reference sweep (``"legacy"``).
         #: Built after scheme attachment so the arrays can adopt scheme
         #: state (popup units).
         self.vector = None
-        if self.cfg.datapath == "vector" and not self.cfg.full_sweep:
+        if self.cfg.datapath == "vector":
             from repro.noc.vector import VectorEngine
 
             self.vector = VectorEngine(self)
@@ -210,10 +210,6 @@ class Network:
     # ------------------------------------------------------------------ #
     # active-set scheduler hooks (called by links / routers / NIs)
 
-    def wake_link(self, link: Link) -> None:
-        """Register a link that just acquired an in-flight payload."""
-        self._busy_links[link._order] = link
-
     def wake_router(self, router: Router) -> None:
         """Register a router whose state changed."""
         self._active_routers[router.rid] = router
@@ -251,19 +247,17 @@ class Network:
     def step(self) -> None:
         """Advance the whole system by one cycle (see module docstring
         for the phase order)."""
-        if self.cfg.full_sweep:
-            self._step_full()
-        elif self.vector is not None:
+        if self.vector is not None:
             self._step_vector()
         else:
-            self._step_active()
+            self._step_full()
         if self.sanitizer is not None:
             self.sanitizer.after_cycle()
 
     def _step_full(self) -> None:
-        """Debug sweep: visit every component every cycle.  Kept so the
-        determinism regression suite can prove the active-set core yields
-        bit-identical results."""
+        """Reference sweep (``datapath="legacy"``): visit every link,
+        dirty router and NI every cycle.  The determinism suite proves
+        the vector engine bit-identical to it."""
         cycle = self.cycle
         timers = self._timers
         while timers and timers[0][0] <= cycle:
@@ -286,51 +280,8 @@ class Network:
             self.scheme.post_cycle(self, cycle)
         self.cycle += 1
 
-    def _step_active(self) -> None:
-        cycle = self.cycle
-        timers = self._timers
-        while timers and timers[0][0] <= cycle:
-            _, rid = heapq.heappop(timers)
-            self.routers[rid].wake()
-        ni_timers = self._ni_timers
-        while ni_timers and ni_timers[0][0] <= cycle:
-            _, node = heapq.heappop(ni_timers)
-            self.nis[node]._wake()
-
-        # 1. delivery over busy links, in full-sweep visit order
-        if self._busy_links:
-            self._deliver_active(cycle)
-
-        # 2. routers, ascending rid (== full-sweep dict order)
-        stepped = self.stepped_routers
-        stepped.clear()
-        active = self._active_routers
-        if active:
-            for rid in sorted(active):
-                router = active[rid]
-                router.step(cycle)
-                stepped.append(router)
-                if not router._dirty:
-                    del active[rid]
-                    router._queued = False
-
-        # 3. NIs, ascending node id
-        active_nis = self._active_nis
-        if active_nis:
-            for node in sorted(active_nis):
-                ni = active_nis[node]
-                ni.step(cycle)
-                if ni._can_sleep(cycle):
-                    del active_nis[node]
-                    ni._queued = False
-
-        # 4. scheme control logic
-        if self.scheme is not None:
-            self.scheme.post_cycle(self, cycle)
-        self.cycle += 1
-
     def _step_vector(self) -> None:
-        """Vector-engine cycle: same phases as :meth:`_step_active`, but
+        """Vector-engine cycle: same phases as :meth:`_step_full`, but
         delivery due-scans and switch allocation run as array batch
         operations (:mod:`repro.noc.vector`).  The active set still feeds
         the engine — it is how routers with live scheme state (signals,
@@ -423,18 +374,6 @@ class Network:
                 while credits and credits[0][0] <= cycle:
                     router.receive_credit(Port.LOCAL, credits.popleft()[1])
 
-    def _deliver_active(self, cycle: int) -> None:
-        busy = self._busy_links
-        for order in sorted(busy):
-            link = busy[order]
-            self._deliver_one(link, cycle)
-            # a credit sent *during* this delivery phase (e.g. immediate
-            # boundary-buffer absorption) re-arms the link, so only
-            # genuinely empty links retire from the busy set
-            if not link._flits and not link._credits:
-                del busy[order]
-                link._busy = False
-
     def _deliver_full(self, cycle: int) -> None:
         for link in self._router_links:
             if link._flits or link._credits:
@@ -485,8 +424,6 @@ class Network:
         ``scalar_fallback_fraction`` is the fraction of evaluated cycles
         that routed at least one router through the scheme-special scalar
         step (the regression signal for scheme-heavy workloads)."""
-        if self.cfg.full_sweep:
-            return {"engine": "full_sweep"}
         vec = self.vector
         if vec is None:
             return {"engine": "legacy"}

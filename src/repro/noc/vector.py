@@ -40,10 +40,9 @@ state; every verdict reads them directly.  The per-cycle evaluation is:
    traversal loop: pops, credit consumption, link dispatch and upstream
    credit return.
 
-The active-set machinery from the event-driven core survives as the
-*controller*: its wake plumbing decides which routers still carry
-scheme state that the arrays cannot express, and only those take the
-scalar path.  Routers that can *never* take the vector path (remote-
+The network's active router set is the engine's *controller*: its wake
+plumbing decides which routers still carry scheme state that the arrays
+cannot express, and only those take the scalar path.  Routers that can *never* take the vector path (remote-
 control boundary routers with their per-VNet absorption buffers) are
 **pinned scalar** at scheme adoption: their mirror bindings are removed
 entirely, so they pay zero write-through cost and their links always
@@ -54,19 +53,20 @@ deadlocked phases) from paying per-cycle vector overhead:
 
 * UPP observation tracking: stall/progress flags are only reset and
   re-observed for routers whose flags actually changed, and the scheme
-  ticks only non-idle popup units (the same provably-no-op skip the
-  active-set scheduler uses);
+  ticks only non-idle popup units (a provably-no-op skip: an idle
+  unit's tick changes nothing);
 * a **static-cycle** fast path: when a full evaluation ends with no
   scalar steps, no grants and an empty active set, and the next cycle
   brings no deliveries, no wakes, no resyncs and no newly-eligible
   head, the entire switch phase is provably a fixed point and is
   skipped outright.
 
-Results are bit-identical to the legacy engine and the full sweep; the
-determinism suite (``tests/integration/test_vector_determinism.py``)
-proves it over seven representative workloads (saturated synthetic,
-closed-loop coherence, deadlock recovery), every registered scheme, the
-fault-replay scenarios and state planted into buffers before a run.
+Results are bit-identical to the scalar reference sweep
+(``datapath="legacy"``); the determinism suite
+(``tests/integration/test_vector_determinism.py``) proves it over seven
+representative workloads (saturated synthetic, closed-loop coherence,
+deadlock recovery), every registered scheme, the fault-replay scenarios
+and state planted into buffers before a run.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class VectorEngine:
         #: cells whose last verdict was "blocked" and for which no event
         #: that could change the verdict has fired since.  Parked cells
         #: are excluded from the candidate scan — the vector twin of the
-        #: legacy engine's event-driven retry (blocked heads sleep; they
+        #: scalar routers' event-driven retry (blocked heads sleep; they
         #: are not re-polled every cycle).
         self.parked = np.zeros(n_cells, bool)
         #: parked cells grouped by the output row whose credit/allocation
@@ -981,9 +981,6 @@ class VectorEngine:
             due = cycle + 1 + link.latency
             link._flits.append((due, flit, ovc))
             link.flits_carried += 1
-            if not link._busy and link._sched is not None:
-                link._busy = True
-                link._sched.wake_link(link)
             if due < link_due[link._order]:
                 link_due[link._order] = due
             if due < box_min:
@@ -1009,9 +1006,6 @@ class VectorEngine:
             if inlink is not None:
                 cdue = cycle + inlink.latency
                 inlink._credits.append((cdue, Credit(vc.vc_index, is_tail)))
-                if not inlink._busy and inlink._sched is not None:
-                    inlink._busy = True
-                    inlink._sched.wake_link(inlink)
                 if cdue < link_due[inlink._order]:
                     link_due[inlink._order] = cdue
                 if cdue < box_min:

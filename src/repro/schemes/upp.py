@@ -53,28 +53,27 @@ class UPPScheme(DeadlockScheme):
                 router.upp_tables = ChipletCircuitTable(n_vnets, self.stats)
 
     def post_cycle(self, network, cycle: int) -> None:
-        if network.cfg.full_sweep:
-            # Full sweep ticks everything by definition.
+        vec = network.vector
+        if vec is None:
+            # The reference sweep ticks everything by definition.
             for router in self._popup_units:
                 router.upp.tick(router, cycle)
             return
-        # Active mode and the vector engine tick only units that could do
-        # something — armed units (timeout counters / in-flight attempts /
-        # queued signals, which must advance even on a sleeping router)
-        # plus those with fresh stall observations: routers that took the
-        # scalar step this cycle, and — under the vector engine — the
-        # routers whose flags the batch switch phase just reported
-        # (``vec.upp_observed``; stale entries from a skipped static cycle
-        # only add idle no-op ticks).  A unit outside every set is
-        # provably idle, so its tick is a no-op and skipping it preserves
-        # bit-identical results with the full sweep.
+        # The vector engine ticks only units that could do something —
+        # armed units (timeout counters / in-flight attempts / queued
+        # signals, which must advance even on a sleeping router) plus
+        # those with fresh stall observations: routers that took the
+        # scalar step this cycle, and the routers whose flags the batch
+        # switch phase just reported (``vec.upp_observed``; stale entries
+        # from a skipped static cycle only add idle no-op ticks).  A unit
+        # outside every set is provably idle, so its tick is a no-op and
+        # skipping it preserves bit-identical results with the reference
+        # sweep.
         candidates = dict(self._armed)
         for router in network.stepped_routers:
             if router.upp is not None:
                 candidates[router.rid] = router
-        vec = network.vector
-        if vec is not None:
-            candidates.update(vec.upp_observed)
+        candidates.update(vec.upp_observed)
         armed = self._armed
         for rid in sorted(candidates):
             router = candidates[rid]

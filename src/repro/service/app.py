@@ -119,6 +119,10 @@ class SweepService:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if sim_jobs < 1:
+            raise ValueError("sim_jobs must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.queue = JobQueue(queue_dir)
         self.cache = cache
         self.sim_jobs = sim_jobs

@@ -17,6 +17,7 @@ accepted values — never silently defaulted.
 from __future__ import annotations
 
 import difflib
+import math
 from typing import Dict, Mapping, Tuple
 
 from repro.exp.cache import CODE_VERSION, git_revision
@@ -40,9 +41,10 @@ _SWEEP_FIELDS: Dict[str, Tuple[object, tuple, str]] = {
               "non-empty list of positive injection rates"),
     "warmup": (2000, (int,), "warmup cycles (non-negative integer)"),
     "measure": (8000, (int,), "measured cycles (positive integer)"),
-    "saturation_latency": (200.0, _NUMBER, "early-stop latency (number)"),
+    "saturation_latency": (200.0, _NUMBER,
+                           "early-stop latency (positive number)"),
     "threshold": (None, (int, type(None)),
-                  "UPP detection threshold (integer or null)"),
+                  "UPP detection threshold (positive integer or null)"),
 }
 
 _WORKLOAD_FIELDS: Dict[str, Tuple[object, tuple, str]] = {
@@ -123,7 +125,18 @@ def validate_sweep_request(body: Mapping) -> Dict[str, object]:
             "sweep windows must satisfy warmup >= 0 and measure > 0, got "
             f"warmup={request['warmup']}, measure={request['measure']}"
         )
-    request["saturation_latency"] = float(request["saturation_latency"])
+    latency = request["saturation_latency"]
+    if not latency > 0:  # NaN fails too: it would never stop early
+        raise JobSchemaError(
+            f"sweep field 'saturation_latency' must be positive, got {latency!r}"
+        )
+    request["saturation_latency"] = float(latency)
+    threshold = request["threshold"]
+    if threshold is not None and threshold < 1:
+        raise JobSchemaError(
+            f"sweep field 'threshold' must be a positive integer or null, "
+            f"got {threshold!r}"
+        )
     return request
 
 
@@ -149,10 +162,11 @@ def validate_workload_request(body: Mapping) -> Dict[str, object]:
     for scheme in schemes:
         _check_name("workload", "schemes", scheme, api.scheme_names())
     request["schemes"] = schemes
-    if request["scale"] <= 0 or request["max_cycles"] <= 0:
+    scale = request["scale"]
+    if not (math.isfinite(scale) and scale > 0) or request["max_cycles"] <= 0:
         raise JobSchemaError(
-            "workload fields 'scale' and 'max_cycles' must be positive, got "
-            f"scale={request['scale']}, max_cycles={request['max_cycles']}"
+            "workload fields 'scale' (finite) and 'max_cycles' must be "
+            f"positive, got scale={scale}, max_cycles={request['max_cycles']}"
         )
     request["scale"] = float(request["scale"])
     return request

@@ -360,3 +360,32 @@ class TestRateRange:
             error = json.loads(answer.partition(b"\r\n\r\n")[2])["error"]
             assert "(0, 1]" in error
             assert ServiceClient(port=svc.port).jobs() == []
+
+
+class TestFieldRanges:
+    """A threshold, scale or early-stop latency the run would fail on is
+    refused at submit time (each used to be queued and fail as a 409)."""
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            (b"/v1/sweeps", b'{"rates": [0.01], "threshold": 0}', "threshold"),
+            (b"/v1/sweeps", b'{"rates": [0.01], "saturation_latency": NaN}',
+             "saturation_latency"),
+            (b"/v1/sweeps", b'{"rates": [0.01], "saturation_latency": -1}',
+             "saturation_latency"),
+            (b"/v1/workloads", b'{"scale": NaN}', "scale"),
+            (b"/v1/workloads", b'{"scale": Infinity}', "scale"),
+        ],
+    )
+    def test_out_of_range_field_is_a_400_and_no_job(self, tmp_path, path, body, field):
+        with BackgroundService(tmp_path / "queue", execute=fake_row) as svc:
+            answer = raw_exchange(
+                svc.port,
+                b"POST " + path + b" HTTP/1.1\r\nConnection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body,
+            )
+            assert answer.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            error = json.loads(answer.partition(b"\r\n\r\n")[2])["error"]
+            assert field in error
+            assert ServiceClient(port=svc.port).jobs() == []

@@ -2,10 +2,9 @@
 
 The struct-of-arrays datapath (``NocConfig.datapath="vector"``) must be
 behaviourally unobservable: every configuration produces exactly the
-same :func:`repro.metrics.stats.result_fingerprint` under all three
-per-cycle engines — vector, the scalar active-set core
-(``datapath="legacy"``) and the exhaustive full sweep
-(``full_sweep=True``, the reference semantics).  Coverage:
+same :func:`repro.metrics.stats.result_fingerprint` under both
+per-cycle engines — vector and the scalar reference sweep
+(``datapath="legacy"``, the reference semantics).  Coverage:
 
 * seven representative workloads: the 8-chiplet large system under UPP
   from low load to past saturation (uniform random and hotspot), a
@@ -39,18 +38,13 @@ from repro.traffic.workloads import get_workload
 
 SCHEMES = ("upp", "composable", "remote_control", "none")
 
-#: the three per-cycle engines; every ``run(mode)`` below takes one.
-MODES = ("vector", "legacy", "full_sweep")
+#: the two per-cycle engines; every ``run(mode)`` below takes one.
+MODES = ("vector", "legacy")
 
 
 def engine_config(cfg: NocConfig, mode: str) -> NocConfig:
-    """``cfg`` with the engine of ``mode`` selected (the full sweep
-    always runs the scalar core)."""
-    return dataclasses.replace(
-        cfg,
-        datapath="vector" if mode == "vector" else "legacy",
-        full_sweep=mode == "full_sweep",
-    )
+    """``cfg`` with the engine of ``mode`` selected."""
+    return dataclasses.replace(cfg, datapath=mode)
 
 
 def _synthetic(pattern, rate):
@@ -107,7 +101,6 @@ class TestWorkloadEquivalence:
     def test_workload_identical(self, name):
         fps = {mode: result_fingerprint(WORKLOADS[name](mode)) for mode in MODES}
         assert fps["legacy"] == fps["vector"]
-        assert fps["full_sweep"] == fps["vector"]
         assert fps["vector"]["summary"]["packets"] > 0
 
 
@@ -124,7 +117,6 @@ class TestSchemeEquivalence:
 
         vector = run("vector")
         assert run("legacy") == vector
-        assert run("full_sweep") == vector
         assert vector["summary"]["packets"] > 0
 
     def test_upp_recovery_identical(self):
@@ -142,7 +134,6 @@ class TestSchemeEquivalence:
 
         vector = run("vector")
         assert run("legacy") == vector
-        assert run("full_sweep") == vector
         assert vector["scheme_stats"]["upward_packets"] > 0
 
     def test_unprotected_deadlock_outcome_identical(self):
@@ -162,9 +153,7 @@ class TestSchemeEquivalence:
 
         vector = run("vector")
         legacy = run("legacy")
-        sweep = run("full_sweep")
         assert legacy == vector
-        assert sweep == vector
         assert vector["deadlocked"]
         assert vector["deadlock_cycle"] == legacy["deadlock_cycle"]
 
@@ -188,7 +177,6 @@ class TestFaultEquivalence:
 
         vector = run("vector")
         assert run("legacy") == vector
-        assert run("full_sweep") == vector
         assert vector["summary"]["packets"] > 0
         assert not vector["deadlocked"]
 
@@ -224,7 +212,6 @@ class TestFaultEquivalence:
 
         vector = run("vector")
         assert run("legacy") == vector
-        assert run("full_sweep") == vector
         assert vector["summary"]["packets"] > 0
 
 
@@ -276,7 +263,6 @@ class TestPlantedStateEquivalence:
 
         vector = run("vector")
         assert run("legacy") == vector
-        assert run("full_sweep") == vector
         assert vector["summary"]["packets"] > 0
 
 
@@ -284,9 +270,8 @@ class TestMirrorCoherence:
     @pytest.mark.parametrize("name", ["uniform_r0.08", "deadlock_recovery"])
     def test_mirrors_match_objects_after_run(self, name):
         """After a saturating run and a popup recovery, every array the
-        vector engine keeps (head eligibility, routes, output VCs, popup
-        tags, parking, credits, busy bits, link dues) still equals what
-        the buffer, port and link objects say."""
+        vector engine keeps (head eligibility, popup tags, parking, link
+        dues) still equals what the buffer, port and link objects say."""
         if name == "deadlock_recovery":
             cfg = NocConfig(vcs_per_vnet=1, datapath="vector")
             sim = Simulation(

@@ -197,6 +197,43 @@ class TestCommands:
         assert flag in capsys.readouterr().err
         assert not any(tmp_path.rglob("*.json"))  # nothing cached
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--threshold", "-5"],
+            ["sweep", "--threshold", "0"],
+            ["sweep", "--jobs", "0"],
+            ["workload", "canneal", "--scale", "-1"],
+            ["workload", "canneal", "--scale", "0"],
+            ["workload", "canneal", "--scale", "nan"],
+            ["workload", "canneal", "--scale", "inf"],
+            ["workload", "canneal", "--jobs", "-2"],
+            ["check", "--faults", "-1"],
+            ["check", "--witnesses", "-2"],
+            ["serve", "--jobs", "0"],
+            ["serve", "--jobs", "-2"],
+            ["serve", "--workers", "0"],
+            ["serve", "--retries", "-1"],
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+        ],
+    )
+    def test_out_of_range_option_is_an_argparse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_option_floors_accepted(self):
+        parse = build_parser().parse_args
+        assert parse(["sweep", "--threshold", "1", "--jobs", "1"]).threshold == 1
+        assert parse(["workload", "canneal", "--scale", "1e-3"]).scale == 1e-3
+        check = parse(["check", "--faults", "0", "--witnesses", "0"])
+        assert (check.faults, check.witnesses) == (0, 0)
+        serve = parse(["serve", "--port", "0", "--retries", "0", "--workers", "1"])
+        assert (serve.port, serve.retries, serve.workers) == (0, 0, 1)
+        assert parse(["serve", "--port", "65535"]).port == 65535
+
     def test_sweep_parses_rates_and_windows(self):
         args = build_parser().parse_args(
             ["sweep", "--rates", "0.01,1", "--warmup", "0", "--measure", "1"]

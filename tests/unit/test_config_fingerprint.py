@@ -113,26 +113,6 @@ class TestNonSemanticFields:
         with pytest.raises(ValueError, match="datapath"):
             NocConfig(datapath="simd")
 
-    def test_env_default_selects_engine(self):
-        """REPRO_DATAPATH drives the default; explicit values win."""
-        script = (
-            "from repro.noc.config import NocConfig\n"
-            "print(NocConfig().datapath)\n"
-            "print(NocConfig(datapath='vector').datapath)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
-                "REPRO_DATAPATH": "legacy",
-            },
-        )
-        assert proc.stdout.split() == ["legacy", "vector"]
-
 
 class TestCrossProcessStability:
     def test_fingerprint_stable_across_interpreters(self):

@@ -106,9 +106,5 @@ class TestDatapathStats:
 
     def test_scalar_engines_name_themselves(self):
         legacy = Network(baseline_system(), NocConfig(datapath="legacy"), UnprotectedScheme())
-        sweep = Network(
-            baseline_system(), NocConfig(datapath="legacy", full_sweep=True),
-            UnprotectedScheme(),
-        )
+        assert legacy.vector is None
         assert legacy.datapath_stats() == {"engine": "legacy"}
-        assert sweep.datapath_stats() == {"engine": "full_sweep"}

@@ -207,6 +207,31 @@ class TestRequestSchemas:
     def test_rate_of_one_accepted(self):
         assert validate_sweep_request({"rates": [1]})["rates"] == [1.0]
 
+    @pytest.mark.parametrize("threshold", [0, -5])
+    def test_non_positive_threshold_rejected(self, threshold):
+        from repro.exp.schemas import JobSchemaError
+
+        with pytest.raises(JobSchemaError, match="'threshold' must be a positive"):
+            validate_sweep_request({"threshold": threshold})
+
+    @pytest.mark.parametrize("threshold", [None, 1])
+    def test_threshold_floor_and_null_accepted(self, threshold):
+        assert validate_sweep_request({"threshold": threshold})["threshold"] == threshold
+
+    @pytest.mark.parametrize("latency", [float("nan"), 0, -1.0])
+    def test_saturation_latency_must_be_positive(self, latency):
+        from repro.exp.schemas import JobSchemaError
+
+        with pytest.raises(JobSchemaError, match="'saturation_latency' must be positive"):
+            validate_sweep_request({"saturation_latency": latency})
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0, -1.0])
+    def test_workload_scale_must_be_finite_and_positive(self, scale):
+        from repro.exp.schemas import JobSchemaError
+
+        with pytest.raises(JobSchemaError, match="'scale'"):
+            validate_workload_request({"scale": scale})
+
     def test_workload_defaults_filled(self):
         request = validate_workload_request({})
         assert request["workload"] == "canneal"
@@ -221,3 +246,29 @@ class TestRequestSchemas:
         _, fp_a = job_fingerprint("sweep", {"rates": [0.01]})
         _, fp_b = job_fingerprint("sweep", {"rates": [0.03]})
         assert fp_a != fp_b
+
+
+class TestServiceSettings:
+    """Settings under which every job would fail are refused up front."""
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"sim_jobs": 0}, "sim_jobs must be >= 1"),
+            ({"sim_jobs": -2}, "sim_jobs must be >= 1"),
+            ({"workers": 0}, "workers must be >= 1"),
+        ],
+    )
+    def test_unusable_setting_rejected(self, tmp_path, setting, message):
+        from repro.service.app import SweepService
+
+        with pytest.raises(ValueError, match=message):
+            SweepService(tmp_path / "queue", **setting)
+        assert not (tmp_path / "queue").exists()
+
+    def test_floor_settings_accepted(self, tmp_path):
+        from repro.service.app import SweepService
+
+        service = SweepService(tmp_path / "queue", retries=0, sim_jobs=1, workers=1)
+        assert (service.retries, service.sim_jobs, service.workers) == (0, 1, 1)
