@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test check mc witness bench bench-figs bench-full examples examples-smoke service-smoke lint clean
+.PHONY: install test test-fast check mc witness bench bench-figs bench-full examples examples-smoke service-smoke lint clean
 
 install:
 	$(PYTHON) -m pip install -e .

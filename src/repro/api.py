@@ -180,7 +180,13 @@ def make_runner(
     if cache is not None and cache_dir is not None:
         raise ValueError("pass either cache= or cache_dir=, not both")
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+        raw = os.environ.get("REPRO_JOBS", "1") or "1"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            jobs = 0
+        if jobs < 1:
+            raise ValueError(f"REPRO_JOBS must be an integer >= 1, got {raw!r}")
     if cache is None:
         cache = make_cache(cache_dir)
     return ExperimentRunner(jobs=jobs, cache=cache, retries=retries, progress=progress)

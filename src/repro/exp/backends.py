@@ -28,6 +28,8 @@ import json
 import time
 from typing import Dict, List, Mapping, Optional, Protocol, runtime_checkable
 
+from repro.exp.cache import entry_row, expired, make_entry
+
 
 @runtime_checkable
 class CacheBackend(Protocol):
@@ -35,7 +37,7 @@ class CacheBackend(Protocol):
 
     Keys are :func:`repro.exp.cache.cache_key` sha256 fingerprints; an
     entry is a JSON-able mapping with at least ``key``, ``spec`` and
-    ``result`` members (see :meth:`repro.exp.cache.ResultCache.put`).
+    ``result`` members (see :func:`repro.exp.cache.make_entry`).
     """
 
     def get(self, key: str) -> Optional[Dict]:
@@ -57,23 +59,6 @@ class CacheBackend(Protocol):
     def stats(self) -> Dict[str, object]:
         """JSON-able hit/miss (and backend-specific) counters."""
         ...
-
-
-def entry_row(entry: Mapping, size: int, mtime: float) -> Dict[str, object]:
-    """The common ``entries()`` row shape, shared across backends."""
-    from repro.exp.cache import spec_summary
-
-    spec = entry.get("spec", {})
-    return {
-        "key": entry.get("key", "?"),
-        "created_unix": entry.get("created_unix", 0),
-        "mtime_unix": mtime,
-        "git_rev": entry.get("git_rev", "unknown"),
-        "kind": spec.get("kind", "?"),
-        "scheme": spec.get("scheme", "?"),
-        "label": spec_summary(spec),
-        "bytes": size,
-    }
 
 
 class MemoryBackend:
@@ -98,16 +83,7 @@ class MemoryBackend:
         return entry
 
     def put(self, key: str, spec: Mapping, result: object) -> str:
-        from repro.exp.cache import CODE_VERSION, git_revision
-
-        self._entries[key] = {
-            "key": key,
-            "created_unix": int(time.time()),
-            "code_version": CODE_VERSION,
-            "git_rev": git_revision(),
-            "spec": dict(spec),
-            "result": result,
-        }
+        self._entries[key] = make_entry(key, spec, result)
         return key
 
     def entries(self) -> List[Dict]:
@@ -121,9 +97,7 @@ class MemoryBackend:
         now = time.time()
         doomed = [
             key for key, entry in self._entries.items()
-            if drop_all
-            or (max_age_days is not None
-                and (now - entry.get("created_unix", 0)) / 86400.0 > max_age_days)
+            if drop_all or expired(entry, max_age_days, now)
         ]
         for key in doomed:
             del self._entries[key]

@@ -41,7 +41,7 @@ from repro.noc.config import NocConfig
 
 #: manual salt over the simulator's behaviour; bump when a change alters
 #: simulation results without touching any config field.
-CODE_VERSION = "repro-exp/v1"
+CODE_VERSION = "repro-exp/v2"
 
 _git_rev_cache: Optional[str] = None
 
@@ -76,6 +76,40 @@ def _probe_git_revision() -> str:
         return rev.stdout.strip() + dirty
     except (OSError, subprocess.SubprocessError):
         return "unknown"
+
+
+def make_entry(key: str, spec: Mapping, result: object) -> Dict[str, object]:
+    """The stored shape of one executed point, shared by every backend."""
+    return {
+        "key": key,
+        "created_unix": int(time.time()),
+        "code_version": CODE_VERSION,
+        "git_rev": git_revision(),
+        "spec": dict(spec),
+        "result": result,
+    }
+
+
+def entry_row(entry: Mapping, size: int, mtime: float) -> Dict[str, object]:
+    """The common ``entries()`` row shape, shared across backends."""
+    spec = entry.get("spec", {})
+    return {
+        "key": entry.get("key", "?"),
+        "created_unix": entry.get("created_unix", 0),
+        "mtime_unix": mtime,
+        "git_rev": entry.get("git_rev", "unknown"),
+        "kind": spec.get("kind", "?"),
+        "scheme": spec.get("scheme", "?"),
+        "label": spec_summary(spec),
+        "bytes": size,
+    }
+
+
+def expired(entry: Mapping, max_age_days: Optional[float], now: float) -> bool:
+    """Whether ``entry`` is older than ``max_age_days`` (never when None)."""
+    if max_age_days is None:
+        return False
+    return (now - entry.get("created_unix", 0)) / 86400.0 > max_age_days
 
 
 def cache_key(spec: Mapping) -> str:
@@ -142,14 +176,7 @@ class ResultCache:
         """Store one executed point atomically; returns the entry path."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "created_unix": int(time.time()),
-            "code_version": CODE_VERSION,
-            "git_rev": git_revision(),
-            "spec": dict(spec),
-            "result": result,
-        }
+        entry = make_entry(key, spec, result)
         # a temp name per writer: two threads (or processes) storing the
         # same key must not rename each other's half-written file
         tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
@@ -167,8 +194,6 @@ class ResultCache:
 
     def entries(self) -> List[Dict]:
         """Metadata of every readable entry (corrupt files are skipped)."""
-        from repro.exp.backends import entry_row
-
         rows = []
         for path in self._entry_paths():
             try:
@@ -216,9 +241,7 @@ class ResultCache:
                 try:
                     with open(path, "r", encoding="utf-8") as handle:
                         entry = json.load(handle)
-                    if max_age_days is not None:
-                        age_days = (now - entry.get("created_unix", 0)) / 86400.0
-                        delete = age_days > max_age_days
+                    delete = expired(entry, max_age_days, now)
                 except (ValueError, OSError):
                     delete = True  # corrupt: always collectable
             if delete:

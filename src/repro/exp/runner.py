@@ -36,7 +36,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.exp.backends import CacheBackend
@@ -61,38 +61,9 @@ class RunnerStats:
     retried: int = 0
     #: points skipped because a serial sweep stopped early.
     skipped: int = 0
-    #: running sum/count of per-point ``scalar_fallback_fraction`` values
-    #: (vector-engine points only; legacy points report None and are not
-    #: counted).
-    fallback_fraction_sum: float = 0.0
-    fallback_points: int = 0
-
-    @property
-    def scalar_fallback_fraction(self) -> Optional[float]:
-        """Mean vector-engine scalar-fallback fraction across executed
-        points, or None when no point reported one."""
-        if self.fallback_points == 0:
-            return None
-        return self.fallback_fraction_sum / self.fallback_points
-
-    def note_result(self, result) -> None:
-        """Fold one executed point's engine diagnostics into the stats."""
-        frac = result.get("scalar_fallback_fraction") if isinstance(
-            result, Mapping
-        ) else None
-        if frac is not None:
-            self.fallback_fraction_sum += float(frac)
-            self.fallback_points += 1
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "executed": self.executed,
-            "cached": self.cached,
-            "retried": self.retried,
-            "skipped": self.skipped,
-            "scalar_fallback_fraction": self.scalar_fallback_fraction,
-        }
+        return asdict(self)
 
 
 ProgressFn = Callable[[int, int, str, str], None]
@@ -173,7 +144,6 @@ class ExperimentRunner:
             else:
                 result = self.execute(spec)
                 self.stats.executed += 1
-                self.stats.note_result(result)
                 self._store(key, spec, result)
                 self._report(index + 1, total, spec, "run")
             results.append(result)
@@ -237,7 +207,6 @@ class ExperimentRunner:
                     continue
                 results[index] = result
                 self.stats.executed += 1
-                self.stats.note_result(result)
                 self._store(keys[index], specs[index], result)
                 self._report(len(results), total, specs[index], "run")
         finally:

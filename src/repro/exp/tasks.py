@@ -11,7 +11,9 @@ objects, no callables.
 simulation from the spec and returns a plain-dict result.  Because every
 point constructs a fresh seeded network, executing a spec in a worker
 process is bit-identical to executing it inline — the property the
-parallel-vs-serial regression tests assert.
+parallel-vs-serial regression tests assert.  It is also the only
+executor: points on an unregistered topology callable run through it
+too, with the factory passed in instead of looked up by name.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.core.config import UPPConfig
 from repro.exp.schemas import JOB_SCHEMA, validate_job
 from repro.noc.config import NocConfig
 from repro.schemes.registry import make_scheme
-from repro.topology.registry import get_topology
+from repro.topology.registry import TopologyFactory, get_topology
 from repro.traffic.coherence import WorkloadProfile
 
 
@@ -95,14 +97,12 @@ def _spec_configs(spec: Mapping):
     return cfg, upp_cfg
 
 
-def _execute_sweep_point(spec: Mapping) -> Dict[str, object]:
+def _execute_sweep_point(spec: Mapping, topology: TopologyFactory) -> Dict[str, object]:
     from repro.sim.simulator import Simulation
     from repro.traffic.synthetic import install_synthetic_traffic
 
     cfg, upp_cfg = _spec_configs(spec)
-    sim = Simulation(
-        get_topology(spec["topology"])(), cfg, make_scheme(spec["scheme"], upp_cfg)
-    )
+    sim = Simulation(topology(), cfg, make_scheme(spec["scheme"], upp_cfg))
     install_synthetic_traffic(sim.network, spec["pattern"], spec["rate"])
     result = sim.run(
         spec["warmup"], spec["measure"], allow_deadlock=spec["allow_deadlock"]
@@ -116,22 +116,17 @@ def _execute_sweep_point(spec: Mapping) -> Dict[str, object]:
         "throughput": summary["throughput"],
         "deadlocked": result.deadlocked,
         "upward_packets": result.scheme_stats.get("upward_packets", 0),
-        "scalar_fallback_fraction": result.datapath.get(
-            "scalar_fallback_fraction"
-        ),
     }
 
 
-def _execute_workload(spec: Mapping) -> Dict[str, object]:
+def _execute_workload(spec: Mapping, topology: TopologyFactory) -> Dict[str, object]:
     from repro.sim.simulator import Simulation
     from repro.traffic.coherence import install_coherence_workload, workload_finished
 
     cfg, upp_cfg = _spec_configs(spec)
     profile = WorkloadProfile(**spec["profile"])
     max_cycles = spec["max_cycles"]
-    sim = Simulation(
-        get_topology(spec["topology"])(), cfg, make_scheme(spec["scheme"], upp_cfg)
-    )
+    sim = Simulation(topology(), cfg, make_scheme(spec["scheme"], upp_cfg))
     endpoints = install_coherence_workload(sim.network, profile)
     result = sim.run(
         warmup=0,
@@ -148,24 +143,30 @@ def _execute_workload(spec: Mapping) -> Dict[str, object]:
     summary["runtime"] = result.cycles
     summary["upward_packets"] = result.scheme_stats.get("upward_packets", 0)
     summary["total_packets"] = result.stats.ejected_packets
-    summary["scalar_fallback_fraction"] = result.datapath.get(
-        "scalar_fallback_fraction"
-    )
     return summary
 
 
-_EXECUTORS: Dict[str, Callable[[Mapping], Dict[str, object]]] = {
+_EXECUTORS: Dict[str, Callable[[Mapping, TopologyFactory], Dict[str, object]]] = {
     "sweep_point": _execute_sweep_point,
     "workload": _execute_workload,
 }
 
 
-def execute_spec(spec: Mapping) -> Dict[str, object]:
+def execute_spec(
+    spec: Mapping, topology: Optional[TopologyFactory] = None
+) -> Dict[str, object]:
     """Run one task spec to completion and return its plain-dict result.
 
     Specs are validated against the ``repro-job/v1`` wire schema first —
     the same :func:`~repro.exp.schemas.validate_job` gate the service and
     client apply, so a malformed spec fails identically everywhere.
+    ``topology`` is the factory to build; by default it is looked up by
+    the spec's registered ``topology`` name.  Passing one runs an
+    unregistered (ad-hoc) factory through the same executor — the
+    experiment layer does so on a serial, uncached runner, since such a
+    factory can neither be pickled to a worker nor content-addressed.
     """
     spec = validate_job(spec)
-    return _EXECUTORS[spec["kind"]](spec)
+    if topology is None:
+        topology = get_topology(spec["topology"])
+    return _EXECUTORS[spec["kind"]](spec, topology)

@@ -4,25 +4,32 @@ Each function builds fresh networks per data point (schemes keep no state
 across runs) and returns plain dicts/lists so benchmarks can print the
 same rows/series the paper reports.
 
-Points are submitted through :mod:`repro.exp` — pass ``runner=`` (or set
+Every point is a :mod:`repro.exp.tasks` spec run by an
+:class:`~repro.exp.runner.ExperimentRunner` through
+:func:`~repro.exp.tasks.execute_spec` — pass ``runner=`` (or set
 ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``) to fan a sweep out over worker
 processes and/or replay completed points from the content-addressed
 result cache.  Results are bit-identical at any job count: every point
 is an independent, freshly seeded simulation.  Ad-hoc topology callables
 that are not in :mod:`repro.topology.registry` cannot be shipped to
-workers and fall back to in-process execution.
+workers or content-addressed, so their points run through the same
+executor on a private serial, uncached runner (``runner=`` is ignored
+for them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+import functools
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import UPPConfig
+from repro.exp.runner import ExperimentRunner
+from repro.exp.tasks import execute_spec, sweep_point_spec, workload_spec
 from repro.noc.config import NocConfig
 from repro.schemes.registry import make_scheme
 from repro.topology.chiplet import SystemTopology
-from repro.topology.registry import get_topology, topology_name_of
+from repro.topology.registry import topology_name_of
 from repro.traffic.workloads import WorkloadProfile
 
 #: a topology argument: a registered name or a zero-argument factory.
@@ -34,17 +41,9 @@ __all__ = [
     "make_scheme",
     "run_workload",
     "runtime_comparison",
-    "replicate",
     "saturation_throughput",
     "sweep_to_rows",
 ]
-
-
-def _resolve_topology(topo_factory: TopologyLike):
-    """(name, factory) for a topology argument; name None if unregistered."""
-    if isinstance(topo_factory, str):
-        return topo_factory, get_topology(topo_factory)
-    return topology_name_of(topo_factory), topo_factory
 
 
 def _runner_or_default(runner):
@@ -58,6 +57,27 @@ def _runner_or_default(runner):
     return api.make_runner()
 
 
+def _topology_and_runner(
+    topo_factory: TopologyLike, runner
+) -> Tuple[str, ExperimentRunner]:
+    """(spec topology name, runner) for a topology argument.
+
+    A registered name or factory runs on ``runner`` (or the env-configured
+    default).  An unregistered callable runs on a private serial, uncached
+    runner whose executor builds that callable; its specs carry the
+    placeholder name ``"<unregistered>"``, which no cache or worker sees.
+    """
+    if isinstance(topo_factory, str):
+        name = topo_factory
+    else:
+        name = topology_name_of(topo_factory)
+    if name is not None:
+        return name, _runner_or_default(runner)
+    return "<unregistered>", ExperimentRunner(
+        execute=functools.partial(execute_spec, topology=topo_factory)
+    )
+
+
 @dataclass
 class SweepPoint:
     """One injection-rate point of a latency sweep."""
@@ -69,13 +89,6 @@ class SweepPoint:
     throughput: float
     deadlocked: bool
     upward_packets: int
-    #: fraction of evaluated cycles the vector engine fell back to the
-    #: scalar per-router step (None on non-vector engines and for rows
-    #: replayed from a cache written before this field existed).
-    #: Diagnostics only — deliberately excluded from
-    #: :func:`sweep_to_rows` so engine choice never leaks into the
-    #: bit-identity projection.
-    scalar_fallback_fraction: Optional[float] = None
 
 
 def latency_sweep(
@@ -98,57 +111,19 @@ def latency_sweep(
     executes every point and truncates the series at the same rate, so
     the returned points are identical either way.)
     """
-    from repro.exp.tasks import sweep_point_spec
-
-    topo_name, factory = _resolve_topology(topo_factory)
-    allow_deadlock = scheme_name == "none"
+    topo_name, run = _topology_and_runner(topo_factory, runner)
 
     def saturated(row: Dict[str, object]) -> bool:
         return row["latency"] > saturation_latency or row["deadlocked"]
 
-    if topo_name is None:
-        rows = _sweep_inline(
-            factory, cfg, scheme_name, pattern, rates, warmup, measure,
-            upp_cfg, allow_deadlock, saturated,
-        )
-    else:
-        # a sweep's points differ only in rate: canonicalise and
-        # fingerprint the configs once, not once per point
-        shared = sweep_point_spec(
-            topo_name, cfg, scheme_name, pattern, None, warmup, measure,
-            upp_cfg=upp_cfg, allow_deadlock=allow_deadlock,
-        )
-        specs = [{**shared, "rate": rate} for rate in rates]
-        rows = _runner_or_default(runner).run(specs, stop_after=saturated)
-    return [SweepPoint(**row) for row in rows]
-
-
-def _sweep_inline(
-    factory, cfg, scheme_name, pattern, rates, warmup, measure,
-    upp_cfg, allow_deadlock, saturated,
-) -> List[Dict[str, object]]:
-    """In-process sweep for unregistered (ad-hoc) topology factories."""
-    from repro.sim.simulator import Simulation
-    from repro.traffic.synthetic import install_synthetic_traffic
-
-    rows: List[Dict[str, object]] = []
-    for rate in rates:
-        sim = Simulation(factory(), cfg, make_scheme(scheme_name, upp_cfg))
-        install_synthetic_traffic(sim.network, pattern, rate)
-        result = sim.run(warmup, measure, allow_deadlock=allow_deadlock)
-        summary = result.summary
-        rows.append({
-            "rate": rate,
-            "latency": summary["avg_total_latency"],
-            "network_latency": summary["avg_network_latency"],
-            "queueing_latency": summary["avg_queueing_latency"],
-            "throughput": summary["throughput"],
-            "deadlocked": result.deadlocked,
-            "upward_packets": result.scheme_stats.get("upward_packets", 0),
-        })
-        if saturated(rows[-1]):
-            break
-    return rows
+    # a sweep's points differ only in rate: canonicalise and
+    # fingerprint the configs once, not once per point
+    shared = sweep_point_spec(
+        topo_name, cfg, scheme_name, pattern, None, warmup, measure,
+        upp_cfg=upp_cfg, allow_deadlock=scheme_name == "none",
+    )
+    specs = [{**shared, "rate": rate} for rate in rates]
+    return [SweepPoint(**row) for row in run.run(specs, stop_after=saturated)]
 
 
 def saturation_throughput(points: List[SweepPoint], zero_load_factor: float = 2.0) -> float:
@@ -177,49 +152,11 @@ def run_workload(
 ) -> Dict[str, float]:
     """Closed-loop coherence run; runtime = cycles until every core done
     (Figs. 8, 12, 15)."""
-    from repro.exp.tasks import workload_spec
-
-    topo_name, factory = _resolve_topology(topo_factory)
-    if topo_name is None:
-        return _workload_inline(factory, cfg, scheme_name, profile, upp_cfg, max_cycles)
+    topo_name, run = _topology_and_runner(topo_factory, runner)
     spec = workload_spec(
         topo_name, cfg, scheme_name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
     )
-    return _runner_or_default(runner).run([spec])[0]
-
-
-def _workload_inline(
-    factory, cfg, scheme_name, profile, upp_cfg, max_cycles
-) -> Dict[str, float]:
-    """In-process workload run for unregistered topology factories."""
-    from repro.sim.simulator import Simulation
-    from repro.traffic.coherence import install_coherence_workload, workload_finished
-
-    sim = Simulation(factory(), cfg, make_scheme(scheme_name, upp_cfg))
-    endpoints = install_coherence_workload(sim.network, profile)
-    # keep the stats callback installed by Simulation: coherence endpoints
-    # consume from ejection queues; stats hook sees every ejection.
-    result = sim.run(
-        warmup=0,
-        measure=max_cycles,
-        stop_when=lambda net: workload_finished(endpoints),
-        max_cycles=max_cycles,
-    )
-    if not workload_finished(endpoints):
-        raise RuntimeError(
-            f"workload {profile.name} did not finish within {max_cycles} "
-            f"cycles under {scheme_name}"
-        )
-    summary = dict(result.summary)
-    summary["runtime"] = result.cycles
-    summary["upward_packets"] = result.scheme_stats.get("upward_packets", 0)
-    summary["total_packets"] = result.stats.ejected_packets
-    # keep the dict shape identical to the spec/worker executor
-    # (tests assert the two paths reproduce each other exactly)
-    summary["scalar_fallback_fraction"] = result.datapath.get(
-        "scalar_fallback_fraction"
-    )
-    return summary
+    return run.run([spec])[0]
 
 
 def runtime_comparison(
@@ -235,68 +172,27 @@ def runtime_comparison(
     scheme (the paper normalises to composable routing).
 
     All schemes' runs are submitted as one batch, so a parallel runner
-    overlaps them.
+    overlaps them.  The returned summaries are new dicts: a runner's
+    results may be its cache's own entries, which must not change.
     """
-    from repro.exp.tasks import workload_spec
-
-    topo_name, factory = _resolve_topology(topo_factory)
-    if topo_name is None:
-        results = {
-            name: _workload_inline(factory, cfg, name, profile, upp_cfg, max_cycles)
-            for name in schemes
-        }
-    else:
-        specs = [
-            workload_spec(
-                topo_name, cfg, name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
-            )
-            for name in schemes
-        ]
-        rows = _runner_or_default(runner).run(specs)
-        results = dict(zip(schemes, rows))
-    reference = results[schemes[0]]["runtime"]
-    for name in schemes:
-        results[name]["normalized_runtime"] = results[name]["runtime"] / reference
-    return results
-
-
-def replicate(run_once: Callable[[int], float], seeds: Sequence[int]) -> Dict[str, float]:
-    """Run a scalar-valued experiment across seeds and report mean/spread.
-
-    ``run_once(seed)`` must build its own simulation from the seed.  Used
-    by benches that average over randomized topologies (Fig. 11) or want
-    seed-robust comparisons.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    values = [float(run_once(seed)) for seed in seeds]
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
+    if not schemes:
+        raise ValueError("schemes must name at least one scheme")
+    topo_name, run = _topology_and_runner(topo_factory, runner)
+    specs = [
+        workload_spec(
+            topo_name, cfg, name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
+        )
+        for name in schemes
+    ]
+    rows = run.run(specs)
+    reference = rows[0]["runtime"]
     return {
-        "mean": mean,
-        "std": variance ** 0.5,
-        "min": min(values),
-        "max": max(values),
-        "n": len(values),
+        name: {**row, "normalized_runtime": row["runtime"] / reference}
+        for name, row in zip(schemes, rows)
     }
 
 
 def sweep_to_rows(points: List[SweepPoint]) -> List[dict]:
-    """Plain-dict form of a sweep (JSON-serialisable).
-
-    This is the bit-identity projection the parallel/cache regression
-    checks compare, so it carries measurement fields only —
-    ``scalar_fallback_fraction`` (an engine diagnostic) stays out.
-    """
-    return [
-        {
-            "rate": p.rate,
-            "latency": p.latency,
-            "network_latency": p.network_latency,
-            "queueing_latency": p.queueing_latency,
-            "throughput": p.throughput,
-            "deadlocked": p.deadlocked,
-            "upward_packets": p.upward_packets,
-        }
-        for p in points
-    ]
+    """Plain-dict form of a sweep (JSON-serialisable) — the projection
+    the parallel/cache bit-identity checks compare."""
+    return [asdict(p) for p in points]

@@ -55,7 +55,8 @@ def topology_name_of(factory: TopologyFactory) -> Optional[str]:
 
     Experiment harnesses accept arbitrary callables for ad-hoc topologies;
     only registered ones can be fanned out to workers or cached, so the
-    harness probes here and falls back to in-process execution otherwise.
+    harness probes here and runs an unregistered one on a serial,
+    uncached runner instead.
     """
     for name, registered in _TOPOLOGIES.items():
         if registered is factory:

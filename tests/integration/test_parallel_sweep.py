@@ -72,10 +72,11 @@ def test_legacy_datapath_reads_a_vector_filled_cache(tmp_path):
     assert sweep_to_rows(replay) == sweep_to_rows(first)
 
 
-def test_workload_through_runner_matches_inline(tmp_path):
-    """The spec/worker path must reproduce the legacy in-process path."""
+def test_unregistered_workload_matches_registered():
+    """An ad-hoc topology callable runs through the same executor as the
+    registered name and reproduces it exactly."""
     from repro.noc.config import NocConfig
-    from repro.sim.experiment import _workload_inline, run_workload
+    from repro.sim.experiment import run_workload
     from repro.topology.chiplet import baseline_system
     from repro.traffic.workloads import get_workload
 
@@ -84,30 +85,27 @@ def test_workload_through_runner_matches_inline(tmp_path):
     via_runner = run_workload(
         "baseline", cfg, "upp", profile, runner=ExperimentRunner(jobs=1)
     )
-    inline = _workload_inline(baseline_system, cfg, "upp", profile, None, 400_000)
-    assert via_runner == inline
+    unregistered = run_workload(lambda: baseline_system(), cfg, "upp", profile)
+    assert via_runner == unregistered
 
 
 def test_sweep_early_stop_preserved_through_runner():
-    """Serial sweeps stop at saturation; the runner path must return the
-    identically truncated series."""
+    """Serial sweeps stop at saturation; an unregistered topology's sweep
+    must return the identically truncated series."""
     from repro.noc.config import NocConfig
-    from repro.sim.experiment import _sweep_inline, latency_sweep
+    from repro.sim.experiment import latency_sweep
     from repro.topology.chiplet import baseline_system
 
     cfg = NocConfig(vcs_per_vnet=1)
     rates = (0.02, 0.3, 0.5)  # 0.3 is far past saturation
 
-    def saturated(row):
-        return row["latency"] > 200.0 or row["deadlocked"]
-
     via_runner = latency_sweep(
-        baseline_system, cfg, "upp", "uniform_random", rates,
+        "baseline", cfg, "upp", "uniform_random", rates,
         warmup=200, measure=600, runner=ExperimentRunner(jobs=1),
     )
-    inline_rows = _sweep_inline(
-        baseline_system, cfg, "upp", "uniform_random", rates, 200, 600,
-        None, False, saturated,
+    unregistered = latency_sweep(
+        lambda: baseline_system(), cfg, "upp", "uniform_random", rates,
+        warmup=200, measure=600,
     )
-    assert sweep_to_rows(via_runner) == inline_rows
+    assert sweep_to_rows(via_runner) == sweep_to_rows(unregistered)
     assert len(via_runner) < len(rates)

@@ -181,3 +181,38 @@ class TestApiCachePlumbing:
         tiered = api.make_cache(tmp_path, tiered=True)
         assert isinstance(tiered, TieredBackend)
         assert isinstance(tiered.l2, MemoryBackend)
+
+    def test_multi_scheme_comparison_leaves_cached_results_alone(self):
+        """Normalising must not rewrite the runner's (here: the cache's)
+        result dicts — neither earlier returns nor later single-scheme
+        calls may see another call's normalisation."""
+        from repro import api
+
+        mem = MemoryBackend()
+
+        def run(schemes):
+            return api.run_workload(
+                "baseline", "blackscholes", schemes, scale=0.05, cache=mem
+            )
+
+        first = run(("composable", "upp"))
+        upp_ratio = first["upp"]["normalized_runtime"]
+        assert upp_ratio != 1.0
+        swapped = run(("upp", "composable"))
+        assert swapped["upp"]["normalized_runtime"] == 1.0
+        assert first["upp"]["normalized_runtime"] == upp_ratio
+        assert "normalized_runtime" not in run("upp")["upp"]
+
+    def test_empty_scheme_list_names_schemes(self):
+        from repro import api
+        from repro.sim.experiment import runtime_comparison
+        from repro.traffic.workloads import get_workload
+
+        with pytest.raises(ValueError, match="schemes"):
+            api.run_workload("baseline", "blackscholes", schemes=(), scale=0.05)
+        preset = api.load_preset("baseline")
+        with pytest.raises(ValueError, match="schemes"):
+            runtime_comparison(
+                preset.topology, preset.config,
+                get_workload("blackscholes", scale=0.05), schemes=(),
+            )

@@ -176,6 +176,14 @@ class TestDefaultRunner:
         assert runner.jobs == 1
         assert runner.cache is None
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_env_job_count_names_the_variable(self, monkeypatch, value):
+        from repro import api
+
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS.*'{value}'"):
+            api.make_runner()
+
     def test_library_sweep_path_does_not_warn(self, monkeypatch):
         """run_sweep without runner= reads the env in repro.api and
         warns about nothing."""

@@ -169,3 +169,23 @@ class TestRunnerIntegration:
     def test_execute_spec_rejects_unknown_kind(self):
         with pytest.raises(JobSchemaError, match="unknown job kind"):
             execute_spec({"schema": JOB_SCHEMA, "kind": "frobnicate"})
+
+    @pytest.mark.parametrize("window", [
+        dict(rates=(1.5,)),
+        dict(rates=(0.01,), warmup=-5),
+    ], ids=["rate", "warmup"])
+    @pytest.mark.parametrize("topology", ["registered", "unregistered"])
+    def test_unregistered_topology_is_validated_alike(self, topology, window):
+        """An ad-hoc topology callable's points pass the same schema gate
+        as a registered name's."""
+        from repro.exp import ExperimentRunner
+        from repro.sim.experiment import latency_sweep
+        from repro.topology.chiplet import baseline_system
+
+        topo = "baseline" if topology == "registered" else (lambda: baseline_system())
+        params = {"warmup": 10, "measure": 10, **window}
+        with pytest.raises(JobSchemaError):
+            latency_sweep(
+                topo, NocConfig(), "upp", "uniform_random",
+                runner=ExperimentRunner(jobs=1), **params,
+            )

@@ -124,23 +124,6 @@ class TestSweepHelpers:
         assert len(points) <= 2  # 0.3 saturates; 0.4 never runs
 
 
-class TestReplicate:
-    def test_statistics(self):
-        from repro.sim.experiment import replicate
-
-        out = replicate(lambda seed: float(seed), [1, 2, 3])
-        assert out["mean"] == 2.0
-        assert out["min"] == 1.0 and out["max"] == 3.0
-        assert out["n"] == 3
-        assert out["std"] == pytest.approx((2 / 3) ** 0.5)
-
-    def test_empty_seeds_rejected(self):
-        from repro.sim.experiment import replicate
-
-        with pytest.raises(ValueError):
-            replicate(lambda s: 0.0, [])
-
-
 class TestSweepExport:
     def test_rows_are_json_serialisable(self):
         import json
