@@ -10,10 +10,11 @@ already pay for:
 * **deep checks** run every ``NocConfig.sanitize_interval`` cycles (and on
   demand) and sweep the whole system: credit conservation per VC on every
   link, network-wide flit conservation against the incremental counters,
-  every O(1) mirror counter re-derived from its backing container, and
-  UPP protocol state-machine legality (attempt/token validity, single
+  every O(1) mirror counter re-derived from its backing container, UPP
+  protocol state-machine legality (attempt/token validity, single
   outstanding reservation per NI slot, globally unique reservation
-  tokens).
+  tokens), and that every sleeping NI has a wake source for its
+  endpoint's next event.
 
 :meth:`Sanitizer.check_drained` additionally asserts the zero state after
 a drain — no VC leaks, full credit pools, no leftover reservations,
@@ -31,6 +32,7 @@ from typing import Optional
 from repro.core.popup import PopupPhase
 from repro.noc.flit import Port
 from repro.noc.link import Link
+from repro.noc.ni import NEVER
 
 
 class InvariantViolation(RuntimeError):
@@ -98,6 +100,7 @@ class Sanitizer:
         self._check_counter_mirrors(net)
         self._check_credit_conservation(net)
         self._check_upp_legality(net)
+        self._check_sleeping_nis(net)
         # last: a divergence in the semantically-checked state above is
         # reported as its own violation, not as a mirror artifact
         self._check_vector_mirrors(net)
@@ -249,6 +252,39 @@ class Sanitizer:
                         f"NI {ni.node} {name} mirror: counter={counter}, "
                         f"actual={actual}",
                     )
+
+    def _check_sleeping_nis(self, net) -> None:
+        """An NI outside the vector engine's active set must have nothing
+        to eject, consume or grant, and its endpoint must either never act
+        again or have a pending timer at the cycle it announced — the NI
+        twin of the engine's "parked => blocked" check.  Read-only (unlike
+        ``NetworkInterface._can_sleep``, which arms timers); the reference
+        sweep steps every NI every cycle, so it has no sleepers."""
+        if net.vector is None:
+            return
+        last = net.cycle - 1  # the cycle the sleep decisions were made in
+        timers = set(net._ni_timers)
+        for node, ni in net.nis.items():
+            if node in net._active_nis:
+                continue
+            if ni._in_flits or ni._ejection_ready or ni._pending_count:
+                _fail(
+                    net.cycle,
+                    f"sleeping NI {node} has work: in-flits={ni._in_flits}, "
+                    f"ejection-ready={ni._ejection_ready}, "
+                    f"pending-reqs={ni._pending_count}",
+                )
+            if not (ni._ep_step_poll or ni._ep_consume_poll):
+                continue
+            wake = ni.endpoint.next_event(last)
+            if wake == NEVER:
+                continue
+            if wake is None or wake <= last or (wake, node) not in timers:
+                _fail(
+                    net.cycle,
+                    f"sleeping NI {node} has no wake source: its endpoint "
+                    f"announces {wake!r} and no timer is pending for it",
+                )
 
     def _check_vector_mirrors(self, net) -> None:
         """The vector engine's arrays must mirror the object state

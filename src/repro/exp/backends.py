@@ -61,12 +61,20 @@ class CacheBackend(Protocol):
         ...
 
 
+def _json_copy(value):
+    """An independent copy with the on-disk backend's JSON semantics
+    (tuples come back as lists)."""
+    return json.loads(json.dumps(value, sort_keys=True))
+
+
 class MemoryBackend:
     """A process-local in-memory backend (tests, and the remote stub base).
 
     Entries share the on-disk shape, so a result can be copied between
-    tiers verbatim.  ``bytes`` in :meth:`entries` is the JSON-encoded
-    size — the number an S3-style tier would bill for.
+    tiers verbatim.  Like :class:`~repro.exp.cache.ResultCache`, ``put``
+    stores and ``get`` returns JSON copies: editing a returned result
+    never edits the cache.  ``bytes`` in :meth:`entries` is the
+    JSON-encoded size — the number an S3-style tier would bill for.
     """
 
     def __init__(self) -> None:
@@ -80,10 +88,10 @@ class MemoryBackend:
             self.misses += 1
             return None
         self.hits += 1
-        return entry
+        return _json_copy(entry)
 
     def put(self, key: str, spec: Mapping, result: object) -> str:
-        self._entries[key] = make_entry(key, spec, result)
+        self._entries[key] = _json_copy(make_entry(key, spec, result))
         return key
 
     def entries(self) -> List[Dict]:

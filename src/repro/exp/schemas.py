@@ -60,6 +60,25 @@ _KIND_FIELDS: Dict[str, Dict[str, Tuple[tuple, str]]] = {
 }
 
 
+def _unit(value) -> bool:
+    return 0 <= value <= 1  # NaN fails too
+
+
+#: ``WorkloadProfile`` field -> (accepted types, what is accepted, range
+#: predicate or None).  Exactly the dataclass's fields (a unit test pins
+#: the two together); the ranges keep a profile from stalling until its
+#: cycle budget runs out (``issue_rate`` or ``mlp`` of 0 never issues).
+_PROFILE_FIELDS: Dict[str, Tuple[tuple, str, object]] = {
+    "name": ((str,), "a string", None),
+    "issue_rate": (_NUMBER, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "mlp": ((int,), "an integer >= 1", lambda v: v >= 1),
+    "locality": (_NUMBER, "a number in [0, 1]", _unit),
+    "directory_fraction": (_NUMBER, "a number in [0, 1]", _unit),
+    "forward_fraction": (_NUMBER, "a number in [0, 1]", _unit),
+    "requests_per_core": ((int,), "an integer >= 1", lambda v: v >= 1),
+}
+
+
 class JobSchemaError(ValueError):
     """A job spec violates the ``repro-job/v1`` wire schema."""
 
@@ -74,15 +93,44 @@ def _suggest(name: str, candidates) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
+def _validate_profile(profile: Mapping) -> None:
+    """A workload spec's ``profile`` holds exactly the ``WorkloadProfile``
+    fields, each of its type and in its range."""
+    missing = [name for name in _PROFILE_FIELDS if name not in profile]
+    unknown = sorted(str(name) for name in profile if name not in _PROFILE_FIELDS)
+    if missing or unknown:
+        problems = []
+        if missing:
+            problems.append(f"is missing {', '.join(missing)}")
+        if unknown:
+            hints = _suggest(unknown[0], _PROFILE_FIELDS)
+            problems.append(f"has unknown key(s) {', '.join(unknown)}{hints}")
+        raise JobSchemaError(
+            f"workload field 'profile' {' and '.join(problems)}; "
+            f"WorkloadProfile accepts: {', '.join(_PROFILE_FIELDS)}"
+        )
+    for name, (types, label, in_range) in _PROFILE_FIELDS.items():
+        value = profile[name]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, types)
+            or (in_range is not None and not in_range(value))
+        ):
+            raise JobSchemaError(
+                f"workload field 'profile.{name}' must be {label}, got {value!r}"
+            )
+
+
 def validate_job(spec: Mapping) -> Dict[str, object]:
     """Validate one job spec against ``repro-job/v1``; returns a dict copy.
 
     Raises :class:`JobSchemaError` with an actionable message on any
     violation: wrong/missing schema tag, unknown kind, missing field,
     mis-typed field, a field the schema does not define, a sweep
-    point's ``rate`` outside the traffic generator's range [0, 1], or a
-    cycle window the service would reject (``warmup < 0``,
-    ``measure <= 0``, ``max_cycles <= 0``).
+    point's ``rate`` outside the traffic generator's range [0, 1], a
+    workload ``profile`` that is not a well-formed ``WorkloadProfile``
+    (see :data:`_PROFILE_FIELDS`), or a cycle window the service would
+    reject (``warmup < 0``, ``measure <= 0``, ``max_cycles <= 0``).
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(
@@ -138,6 +186,8 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
             "sweep_point windows must satisfy warmup >= 0 and measure > 0, "
             f"got warmup={spec['warmup']}, measure={spec['measure']}"
         )
+    if kind == "workload":
+        _validate_profile(spec["profile"])
     if kind == "workload" and spec["max_cycles"] <= 0:
         raise JobSchemaError(
             "workload field 'max_cycles' must be positive, "

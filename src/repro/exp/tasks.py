@@ -128,11 +128,17 @@ def _execute_workload(spec: Mapping, topology: TopologyFactory) -> Dict[str, obj
     max_cycles = spec["max_cycles"]
     sim = Simulation(topology(), cfg, make_scheme(spec["scheme"], upp_cfg))
     endpoints = install_coherence_workload(sim.network, profile)
+    unfinished = [e for e in endpoints if not e.done]
+
+    def finished(_net) -> bool:
+        # ``done`` only goes False -> True: pop finished cores off the
+        # end, so the per-cycle check is amortized O(1)
+        while unfinished and unfinished[-1].done:
+            unfinished.pop()
+        return not unfinished
+
     result = sim.run(
-        warmup=0,
-        measure=max_cycles,
-        stop_when=lambda net: workload_finished(endpoints),
-        max_cycles=max_cycles,
+        warmup=0, measure=max_cycles, stop_when=finished, max_cycles=max_cycles
     )
     if not workload_finished(endpoints):
         raise RuntimeError(

@@ -134,12 +134,6 @@ def remote_control_chiplet_overhead(cfg: NocConfig) -> AreaReport:
     return AreaReport(baseline, additions)
 
 
-def remote_control_interposer_overhead(cfg: NocConfig) -> AreaReport:
-    """Remote control leaves interposer routers untouched (the permission
-    subnetwork and buffers live on the chiplet side)."""
-    return AreaReport(baseline_router_area(cfg), {})
-
-
 def composable_overhead(cfg: NocConfig) -> AreaReport:
     """Composable routing costs ~zero area: only turn restrictions."""
     return AreaReport(baseline_router_area(cfg), {})

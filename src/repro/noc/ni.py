@@ -20,6 +20,10 @@ from repro.noc.buffer import Credit, InputPort, OutputPort
 from repro.noc.config import NocConfig
 from repro.noc.flit import Flit, FlitKind, Packet, Port, SignalFlit
 
+#: ``Endpoint.next_event`` value of an endpoint that will never act again
+#: unless something outside it (an arrival, a new message) wakes its NI.
+NEVER = float("inf")
+
 
 class Endpoint:
     """Base processing element attached behind an NI.
@@ -37,12 +41,17 @@ class Endpoint:
     def step(self, cycle: int) -> None:  # pragma: no cover - interface
         """Generate new messages into the NI injection queues."""
 
-    def next_event(self, cycle: int) -> Optional[int]:
-        """The earliest future cycle at which ``step`` could act, or
-        ``None`` when the endpoint must be polled every cycle.  Endpoints
-        whose generation schedule is known ahead of time (e.g. Bernoulli
-        injectors with a pre-drawn success) override this so their NI can
-        sleep between events; the NI arms a timer for the returned cycle."""
+    def next_event(self, cycle: int) -> Optional[float]:
+        """The earliest cycle after ``cycle`` at which ``step`` *or*
+        ``consume`` could act on its own, :data:`NEVER` when neither will
+        act again, or ``None`` when the endpoint must be polled every cycle.
+
+        Arrivals need no announcement: a flit, signal or ejected message
+        wakes the NI by itself.  Endpoints whose schedule is known ahead of
+        time (Bernoulli injectors and coherence cores with a pre-drawn
+        success, trace replay) override this so their NI can sleep between
+        events; the NI arms a timer for the returned cycle.  It must not
+        change endpoint state: the sanitizer calls it to audit sleepers."""
         return None
 
     def consume(self, cycle: int) -> None:
@@ -68,8 +77,8 @@ class NetworkInterface:
         self._queued = False
         #: Endpoint polling flags: an endpoint that overrides ``step``
         #: (traffic draws) or ``consume`` (custom consumption policy) owns
-        #: per-cycle behaviour and must be polled on that side every
-        #: cycle; either flag keeps the NI from sleeping.
+        #: per-cycle behaviour; the NI calls that side on every step and
+        #: sleeps only as its ``next_event`` allows.
         self._ep_step_poll = False
         self._ep_consume_poll = False
         #: last endpoint-event cycle a timer was armed for (dedup).
@@ -161,20 +170,19 @@ class NetworkInterface:
         injection gate the NI must keep polling — the gate's handshake
         completes out-of-band in the scheme controller.
 
-        An endpoint that overrides ``step`` normally forces per-cycle
-        polling, unless its ``next_event`` names a future cycle — then a
-        timer wake at that cycle replaces the polling.
+        An endpoint that overrides ``step`` or ``consume`` forces
+        per-cycle polling unless its ``next_event`` names a future cycle —
+        then a timer wake at that cycle replaces the polling — or
+        :data:`NEVER`, which needs no timer at all.
         """
-        ep_wake = -1
-        if self._ep_consume_poll:
+        if self._in_flits or self._pending_count or self._ejection_ready:
             return False
-        if self._ep_step_poll:
+        ep_wake = NEVER
+        if self._ep_step_poll or self._ep_consume_poll:
             wake = self.endpoint.next_event(cycle)
             if wake is None or wake <= cycle:
                 return False
             ep_wake = wake
-        if self._in_flits or self._pending_count or self._ejection_ready:
-            return False
         if self._stream_flits:
             # mid-stream: sleep only while blocked on the stream VC credit
             if self.out_credits.credits[self._stream_vc] > 0:
@@ -189,7 +197,7 @@ class NetworkInterface:
                 need = packet.size if self.cfg.flow_control == "vct" else 1
                 if self.out_credits.free_vcs(vnet, need):
                     return False
-        if ep_wake >= 0 and self._net is not None and ep_wake != self._timer_cycle:
+        if ep_wake != NEVER and self._net is not None and ep_wake != self._timer_cycle:
             self._net.schedule_ni_wake(ep_wake, self)
             self._timer_cycle = ep_wake
         return True

@@ -6,7 +6,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import UPPConfig
 from repro.noc.config import NocConfig
-from repro.topology.chiplet import SystemTopology, baseline_system, large_system
+from repro.topology.chiplet import SystemTopology, large_system
 
 #: Table II, network configuration rows.
 TABLE_II = {
@@ -61,11 +61,6 @@ SYSTEM_PRESETS: Dict[str, Tuple[str, int]] = {
     "large": ("large", 1),
     "large-4vc": ("large", 4),
 }
-
-
-def baseline_topology() -> SystemTopology:
-    """Alias of :func:`repro.topology.chiplet.baseline_system`."""
-    return baseline_system()
 
 
 def large_topology() -> SystemTopology:

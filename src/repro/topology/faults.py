@@ -65,8 +65,3 @@ def inject_faults(
     raise ValueError(
         f"could not find a connectivity-preserving set of {n_faults} faults"
     )
-
-
-def healthy_mesh_neighbors(topo: SystemTopology, rid: int):
-    """Same-layer neighbours reachable over healthy links."""
-    return topo.layer_neighbors(rid)

@@ -63,11 +63,6 @@ def xy_next_port(src: Coord, dst: Coord) -> Port:
     return Port.NORTH if dst[0] > src[0] else Port.SOUTH
 
 
-def manhattan(a: Coord, b: Coord) -> int:
-    """L1 distance between two mesh coordinates."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def boundary_positions(rows: int, cols: int, count: int) -> List[Coord]:
     """Canonical boundary-router placements for a chiplet mesh.
 

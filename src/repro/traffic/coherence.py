@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.noc.flit import Packet
-from repro.noc.ni import Endpoint
+from repro.noc.ni import NEVER, Endpoint
 
 REQUEST_VNET = 0
 FORWARD_VNET = 1
@@ -74,6 +74,8 @@ class CoherenceEndpoint(Endpoint):
         #: requests at (nearly) the same times, keeping Fig. 8's
         #: cross-scheme runtime comparison apples-to-apples.
         self._issue_rng = random.Random(rng.randrange(2**31))
+        #: cycle of the next issue-decision success (geometric skip-ahead).
+        self._issue_cycle = -1
         self.is_core = is_core
         self.data_size = data_size
         self.control_size = control_size
@@ -103,16 +105,41 @@ class CoherenceEndpoint(Endpoint):
             home = self.rng.choice(candidates)
         return home
 
+    @property
+    def _quota_issued(self) -> bool:
+        """Every request of the quota has been issued: no issue draw can
+        matter again (``completed + outstanding`` never falls)."""
+        return self.completed + self.outstanding >= self.profile.requests_per_core
+
+    def _arm(self, base: int) -> None:
+        """Draw the per-cycle issue decisions forward from ``base`` until
+        the next success.
+
+        ``_issue_rng`` is private to this endpoint and the decision is one
+        ``random()`` per cycle, so consuming the failure run up front
+        yields a bit-identical stream and issue schedule while letting the
+        NI sleep until :attr:`_issue_cycle`.  A non-positive (or NaN)
+        rate never succeeds, so it arms nothing rather than loop forever.
+        """
+        rate = self.profile.issue_rate
+        if not rate > 0.0:
+            self._issue_cycle = NEVER
+            return
+        rng_random = self._issue_rng.random
+        cycle = base
+        while rng_random() >= rate:
+            cycle += 1
+        self._issue_cycle = cycle
+
     def step(self, cycle: int) -> None:
         """Issue at most one new request, MLP and quota permitting."""
-        if not self.is_core:
+        if not self.is_core or self._quota_issued:
             return
-        want_issue = self._issue_rng.random() < self.profile.issue_rate
-        if self.done or not want_issue:
+        if self._issue_cycle < cycle:
+            self._arm(cycle)
+        if self._issue_cycle != cycle:
             return
-        issued_quota = self.completed + self.outstanding
-        if issued_quota >= self.profile.requests_per_core:
-            return
+        self._arm(cycle + 1)
         if self.outstanding >= self.profile.mlp:
             return
         home = self._pick_home()
@@ -121,6 +148,17 @@ class CoherenceEndpoint(Endpoint):
         )
         if packet is not None:
             self.outstanding += 1
+
+    def next_event(self, cycle: int):
+        """The pre-drawn issue cycle of an unfinished core; :data:`NEVER`
+        for homes and cores whose quota is issued (``consume`` acts only
+        on arrivals, which wake the NI); per-cycle polling while a stalled
+        reply waits for injection-queue space."""
+        if self._stalled_replies:
+            return None
+        if not self.is_core or self._quota_issued:
+            return NEVER
+        return self._issue_cycle if self._issue_cycle > cycle else None
 
     # ------------------------------------------------------------------ #
     # consumption policy (Sec. V-B4)

@@ -16,7 +16,7 @@ import random
 from collections import deque
 from typing import List
 
-from repro.noc.ni import Endpoint
+from repro.noc.ni import NEVER, Endpoint
 
 #: vnet assignment mirroring MESI message classes: control packets travel
 #: as requests (VNet 0), data packets as responses (VNet 2).
@@ -122,11 +122,25 @@ class SyntheticEndpoint(Endpoint):
         mean_size = data_fraction * data_size + (1 - data_fraction) * control_size
         #: packet-injection probability per cycle for the target flit rate.
         self.packet_rate = rate / mean_size
-        self.enabled = True
+        self._enabled = True
         self._backlog: deque = deque()
         self.generated = 0
         #: cycle of the next Bernoulli success (geometric skip-ahead).
         self._fire_cycle = -1
+
+    @property
+    def enabled(self) -> bool:
+        """Whether new packets are generated (drains switch it off)."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        # the NI may be asleep on the old schedule: wake it so it re-reads
+        # ``next_event`` (re-enabling re-arms from the current cycle)
+        self._enabled = value
+        ni = getattr(self, "ni", None)
+        if ni is not None:
+            ni._wake()
 
     def _arm(self, base: int) -> None:
         """Draw per-cycle Bernoulli trials forward until the next success.
@@ -145,7 +159,7 @@ class SyntheticEndpoint(Endpoint):
 
     def step(self, cycle: int) -> None:
         """Bernoulli generation plus backlog flush into the NI."""
-        if self.enabled and self.packet_rate > 0.0:
+        if self._enabled and self.packet_rate > 0.0:
             if self._fire_cycle < cycle:
                 self._arm(cycle)
             if self._fire_cycle == cycle:
@@ -167,11 +181,12 @@ class SyntheticEndpoint(Endpoint):
 
     def next_event(self, cycle: int):
         """The pre-drawn fire cycle: between fires this endpoint is pure
-        state, so its NI may sleep until then (a disabled or zero-rate
-        injector falls back to per-cycle polling — ``enabled`` may be
-        flipped externally at any time)."""
-        if not self.enabled or self.packet_rate <= 0.0:
-            return None
+        state, so its NI may sleep until then.  A disabled or zero-rate
+        injector only flushes its backlog: it is polled while one is left
+        and never acts again once it is empty (flipping ``enabled`` wakes
+        the NI)."""
+        if not self._enabled or self.packet_rate <= 0.0:
+            return None if self._backlog else NEVER
         return self._fire_cycle if self._fire_cycle > cycle else None
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Dict, Iterable, List, NamedTuple
 
-from repro.noc.ni import Endpoint
+from repro.noc.ni import NEVER, Endpoint
 
 
 class TraceRecord(NamedTuple):
@@ -63,6 +63,15 @@ class ReplayEndpoint(Endpoint):
             if sent is None:
                 break
             self._schedule.popleft()
+
+    def next_event(self, cycle: int):
+        """The next record's creation cycle, so the NI sleeps until it is
+        due; per-cycle polling while a due record waits for queue space,
+        and :data:`NEVER` once the schedule is spent."""
+        if not self._schedule:
+            return NEVER
+        due = self._schedule[0].created_cycle
+        return due if due > cycle else None
 
     @property
     def pending(self) -> int:

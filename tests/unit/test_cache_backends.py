@@ -68,6 +68,21 @@ class TestMemoryBackend:
         backend.get(key)
         assert (backend.hits, backend.misses) == (1, 1)
 
+    @pytest.mark.parametrize("index", range(5))
+    def test_entries_are_independent_json_copies(self, tmp_path, index):
+        """Every backend behaves like the on-disk one: a caller editing
+        what it stored or what it got back never edits the cache, and
+        tuples come back as lists."""
+        backend = backends(tmp_path)[index]
+        key = cache_key(SPEC)
+        result = {"runtime": 248, "series": (1, 2)}
+        backend.put(key, SPEC, result)
+        result["runtime"] = -2
+        first = backend.get(key)
+        assert first["result"] == {"runtime": 248, "series": [1, 2]}
+        first["result"]["runtime"] = -1
+        assert backend.get(key)["result"]["runtime"] == 248
+
     def test_gc_by_age(self):
         backend = MemoryBackend()
         key = cache_key(SPEC)
@@ -202,6 +217,21 @@ class TestApiCachePlumbing:
         assert swapped["upp"]["normalized_runtime"] == 1.0
         assert first["upp"]["normalized_runtime"] == upp_ratio
         assert "normalized_runtime" not in run("upp")["upp"]
+
+    def test_editing_a_result_does_not_edit_the_memory_cache(self):
+        from repro import api
+
+        mem = MemoryBackend()
+
+        def run():
+            return api.run_workload(
+                "baseline", "blackscholes", "upp", scale=0.05, cache=mem
+            )["upp"]
+
+        first = run()
+        runtime = first["runtime"]
+        first["runtime"] = -1
+        assert run()["runtime"] == runtime
 
     def test_empty_scheme_list_names_schemes(self):
         from repro import api

@@ -10,6 +10,15 @@ from repro.noc.config import NocConfig
 from repro.traffic.workloads import get_workload
 
 
+def workload_job(**profile_overrides):
+    spec = workload_spec(
+        "baseline", NocConfig(vcs_per_vnet=1), "upp",
+        get_workload("blackscholes", scale=0.05),
+    )
+    spec["profile"].update(profile_overrides)
+    return spec
+
+
 def sweep_spec(**overrides):
     spec = sweep_point_spec(
         "baseline", NocConfig(vcs_per_vnet=1), "upp", "uniform_random",
@@ -151,6 +160,39 @@ class TestValidateJob:
             get_workload("blackscholes", scale=0.05), max_cycles=max_cycles,
         )
         with pytest.raises(JobSchemaError, match="'max_cycles' must be positive"):
+            validate_job(spec)
+
+    def test_profile_table_is_exactly_the_dataclass(self):
+        from repro.exp.schemas import _PROFILE_FIELDS
+        from repro.traffic.coherence import WorkloadProfile
+
+        names = [field.name for field in dataclasses.fields(WorkloadProfile)]
+        assert list(_PROFILE_FIELDS) == names
+
+    @pytest.mark.parametrize("field, value", [
+        ("issue_rate", 0), ("issue_rate", -0.1), ("issue_rate", 1.5),
+        ("issue_rate", float("nan")), ("mlp", 0), ("mlp", 2.0),
+        ("requests_per_core", 0), ("locality", 2.0), ("locality", -0.5),
+        ("directory_fraction", 1.01), ("forward_fraction", float("nan")),
+        ("name", 7), ("mlp", True),
+    ])
+    def test_bad_profile_value_names_the_field(self, field, value):
+        with pytest.raises(JobSchemaError, match=rf"'profile\.{field}' must be"):
+            validate_job(workload_job(**{field: value}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("issue_rate", 1), ("locality", 0), ("forward_fraction", 1.0),
+    ])
+    def test_profile_interval_edges_accepted(self, field, value):
+        spec = workload_job(**{field: value})
+        assert validate_job(spec)["profile"][field] == value
+
+    def test_unknown_or_missing_profile_key_rejected(self):
+        spec = workload_job()
+        spec["profile"]["isue_rate"] = spec["profile"].pop("issue_rate")
+        with pytest.raises(
+            JobSchemaError, match=r"missing issue_rate.*unknown key\(s\) isue_rate"
+        ):
             validate_job(spec)
 
     def test_bool_does_not_pass_as_integer(self):

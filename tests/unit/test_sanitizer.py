@@ -80,6 +80,62 @@ class TestCleanRuns:
         assert signature(True) == signature(False)
 
 
+def sanitized_coherence(interval=8, cycles=None):
+    """A sanitized vector network running blackscholes (mostly asleep
+    NIs); runs ``cycles`` cycles, or to completion when None."""
+    from repro.traffic.coherence import install_coherence_workload, workload_finished
+    from repro.traffic.workloads import get_workload
+
+    net = sanitized_net(interval=interval, datapath="vector")
+    endpoints = install_coherence_workload(net, get_workload("blackscholes", scale=0.05))
+    if cycles is not None:
+        net.run(cycles)
+        return net
+    for _ in range(5000):
+        net.step()
+        if workload_finished(endpoints):
+            return net
+    raise AssertionError("blackscholes did not finish")
+
+
+class TestSleepingNis:
+    def test_coherence_run_is_clean_and_checks_leave_timers_alone(self):
+        net = sanitized_coherence()
+        assert net.sanitizer.deep_checks_run > 20
+        asleep = [node for node in net.nis if node not in net._active_nis]
+        assert asleep
+        timers = list(net._ni_timers)
+        net.sanitizer.check_all()
+        assert net._ni_timers == timers  # read-only: no timer armed
+
+    def _sleeper_with_timer(self, net):
+        from repro.noc.ni import NEVER
+
+        timed = {node for _cycle, node in net._ni_timers}
+        return next(
+            node for node in sorted(timed)
+            if node not in net._active_nis
+            and net.nis[node].endpoint.next_event(net.cycle - 1) != NEVER
+        )
+
+    def test_sleeper_without_its_timer_fires(self):
+        import heapq
+
+        net = sanitized_coherence(cycles=30)
+        node = self._sleeper_with_timer(net)
+        net._ni_timers = [t for t in net._ni_timers if t[1] != node]
+        heapq.heapify(net._ni_timers)
+        with pytest.raises(InvariantViolation, match=f"sleeping NI {node} has no wake"):
+            net.sanitizer.check_all()
+
+    def test_sleeper_with_work_fires(self):
+        net = sanitized_coherence(cycles=30)
+        node = self._sleeper_with_timer(net)
+        net.nis[node]._ejection_ready += 1
+        with pytest.raises(InvariantViolation, match=f"sleeping NI {node} has work"):
+            net.sanitizer._check_sleeping_nis(net)
+
+
 class TestViolationsFire:
     def test_negative_live_flit_counter(self):
         net = sanitized_net()
