@@ -9,9 +9,8 @@ import pytest
 
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import build_system
 
-from benchmarks.common import print_series, scaled
+from benchmarks.common import bench_runner, print_series, scaled
 
 SCHEMES = ("composable", "remote_control", "upp")
 COUNTS = (2, 4, 8)
@@ -23,13 +22,14 @@ def run_all(vcs: int):
     for count in COUNTS:
         for scheme in SCHEMES:
             points = latency_sweep(
-                lambda count=count: build_system(boundary_per_chiplet=count),
+                {"boundary_per_chiplet": count},
                 NocConfig(vcs_per_vnet=vcs),
                 scheme,
                 "uniform_random",
                 RATES,
                 warmup=scaled(400),
                 measure=scaled(1500),
+                runner=bench_runner(),
             )
             results[(count, scheme)] = {
                 "latency": points[0].latency,

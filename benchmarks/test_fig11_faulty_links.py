@@ -6,16 +6,12 @@ composable's design-time search cannot rerun online and remote control's
 permission subnetwork is hard-wired.  Expected shape: graceful saturation
 degradation and a mild latency increase as links fail."""
 
-import random
-
 import pytest
 
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import build_system
-from repro.topology.faults import inject_faults
 
-from benchmarks.common import full_mode, print_series, scaled
+from benchmarks.common import bench_runner, full_mode, print_series, scaled
 
 FAULTS_DEFAULT = (0, 5, 20)
 FAULTS_FULL = (0, 1, 5, 10, 15, 20)
@@ -29,20 +25,15 @@ def run_counts(vcs: int):
     for n_faults in counts:
         latencies, saturations = [], []
         for seed in SEEDS if n_faults else SEEDS[:1]:
-            def topo_factory(n_faults=n_faults, seed=seed):
-                topo = build_system()
-                if n_faults:
-                    inject_faults(topo, n_faults, random.Random(seed))
-                return topo
-
             points = latency_sweep(
-                topo_factory,
+                {"faults": n_faults, "fault_seed": seed},
                 NocConfig(vcs_per_vnet=vcs),
                 "upp",
                 "uniform_random",
                 RATES,
                 warmup=scaled(400),
                 measure=scaled(1500),
+                runner=bench_runner(),
             )
             latencies.append(points[0].latency)
             saturations.append(saturation_throughput(points))

@@ -9,7 +9,6 @@ positives cost almost nothing (Sec. VI-C)."""
 
 from repro.sim.experiment import run_workload
 from repro.sim.presets import table2_config
-from repro.topology.chiplet import baseline_system
 from repro.traffic.workloads import get_workload, workload_names
 
 from benchmarks.common import bench_runner, bench_scale, full_mode, print_series
@@ -29,7 +28,7 @@ def run_counts():
         per_vcs = {}
         for vcs in (1, 4):
             summary = run_workload(
-                baseline_system, table2_config(vcs), "upp", profile,
+                "baseline", table2_config(vcs), "upp", profile,
                 runner=bench_runner(),
             )
             per_vcs[vcs] = {

@@ -11,7 +11,6 @@ import pytest
 from repro.core.config import UPPConfig
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import baseline_system
 
 from benchmarks.common import bench_runner, print_series, scaled
 
@@ -23,7 +22,7 @@ def run_thresholds(vcs: int):
     results = {}
     for threshold in THRESHOLDS:
         points = latency_sweep(
-            baseline_system,
+            "baseline",
             NocConfig(vcs_per_vnet=vcs),
             "upp",
             "uniform_random",

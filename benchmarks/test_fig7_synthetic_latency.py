@@ -12,7 +12,6 @@ import pytest
 
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import baseline_system
 
 from benchmarks.common import bench_runner, full_mode, print_series, scaled
 
@@ -32,7 +31,7 @@ def run_pattern(pattern: str, vcs: int):
     results = {}
     for scheme in SCHEMES:
         results[scheme] = latency_sweep(
-            baseline_system,
+            "baseline",
             NocConfig(vcs_per_vnet=vcs),
             scheme,
             pattern,

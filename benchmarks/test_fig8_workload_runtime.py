@@ -12,7 +12,6 @@ import pytest
 
 from repro.sim.experiment import runtime_comparison
 from repro.sim.presets import table2_config
-from repro.topology.chiplet import baseline_system
 from repro.traffic.workloads import get_workload, workload_names
 
 from benchmarks.common import bench_runner, bench_scale, full_mode, print_series
@@ -31,7 +30,7 @@ def run_suite(vcs: int):
     for name in workloads():
         profile = get_workload(name, scale=scale)
         results[name] = runtime_comparison(
-            baseline_system, table2_config(vcs), profile, SCHEMES,
+            "baseline", table2_config(vcs), profile, SCHEMES,
             runner=bench_runner(),
         )
     return results

@@ -9,7 +9,6 @@ import pytest
 
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import large_system
 
 from benchmarks.common import bench_runner, print_series, scaled
 
@@ -22,7 +21,7 @@ def test_fig9(benchmark, vcs):
     def run():
         return {
             scheme: latency_sweep(
-                large_system,
+                "large",
                 NocConfig(vcs_per_vnet=vcs),
                 scheme,
                 "uniform_random",

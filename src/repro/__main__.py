@@ -28,6 +28,7 @@ from typing import List
 
 from repro import api
 from repro.schemes.registry import scheme_names
+from repro.sim.presets import SYSTEM_PRESETS
 from repro.traffic.synthetic import PATTERNS
 from repro.traffic.workloads import workload_names
 
@@ -344,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.topology.registry import topology_names
 
-    topologies = tuple(topology_names())
+    # sweep / workload resolve --topology through a Table II preset
+    preset_topologies = tuple(dict.fromkeys(t for t, _ in SYSTEM_PRESETS.values()))
 
     p = sub.add_parser("info", help="system and Table I summary")
-    p.add_argument("--topology", choices=topologies, default="baseline")
+    p.add_argument("--topology", choices=topology_names(), default="baseline")
     p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("sweep", help="latency vs injection rate")
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=_int_at_least(0), default=500)
     p.add_argument("--measure", type=_int_at_least(1), default=2500)
     p.add_argument("--threshold", type=_int_at_least(1), default=20)
-    p.add_argument("--topology", choices=topologies, default="baseline")
+    p.add_argument("--topology", choices=preset_topologies, default="baseline")
     _add_runner_options(p)
     p.add_argument("--expect-cached", action="store_true",
                    help="fail unless every point came from the cache")
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=tuple(workload_names()))
     p.add_argument("--scale", type=_positive_finite, default=0.25)
     p.add_argument("--vcs", type=int, choices=(1, 4), default=1)
-    p.add_argument("--topology", choices=topologies, default="baseline")
+    p.add_argument("--topology", choices=preset_topologies, default="baseline")
     _add_runner_options(p)
     p.set_defaults(fn=cmd_workload)
 

@@ -80,7 +80,7 @@ MAX_STATES = 2_000_000
 
 @dataclass(frozen=True)
 class MCPreset:
-    """One model-checkable configuration: a registered topology plus a
+    """One model-checkable configuration: a topology alias plus a
     curated adversarial flow set.
 
     The flow sets were derived with :func:`select_flows` (CDG cycle

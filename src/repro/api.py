@@ -14,9 +14,9 @@ experiments, without reaching into six deep modules:
 * :func:`make_runner` — an explicit :class:`~repro.exp.runner.ExperimentRunner`
   when a script wants to share one runner (and its stats) across calls.
 
-Scheme and topology names resolve through the registries
-(:mod:`repro.schemes.registry`, :mod:`repro.topology.registry`), so the
-facade automatically covers anything registered later.
+Scheme names resolve through :mod:`repro.schemes.registry`, so the
+facade automatically covers any scheme registered later; topology
+aliases resolve through :mod:`repro.topology.registry`.
 
 Example::
 
@@ -82,13 +82,13 @@ class Preset:
     """One named system configuration: topology + Table II configs."""
 
     name: str
-    #: registered topology name (resolve with :meth:`topology_factory`).
+    #: topology alias (resolve with :meth:`topology_factory`).
     topology: str
     config: NocConfig
     upp_config: UPPConfig
 
     def topology_factory(self):
-        """The registered zero-argument topology factory."""
+        """The zero-argument factory building the preset's topology."""
         return get_topology(self.topology)
 
 

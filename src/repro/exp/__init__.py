@@ -6,7 +6,7 @@ The experiment layer's scaling story (the sim core's is
 content-addressed cache makes re-runs free.  Caches are pluggable
 behind the :class:`CacheBackend` protocol (sharded-dir
 :class:`ResultCache`, in-memory, tiered local-over-remote); task specs
-are the versioned ``repro-job/v1`` wire schema (:func:`validate_job`).
+are the versioned ``repro-job/v2`` wire schema (:func:`validate_job`).
 See ``docs/api.md`` and ``docs/service.md`` for the full contract
 (cache-key semantics, resumability, crash retry).
 """

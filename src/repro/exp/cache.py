@@ -4,7 +4,7 @@ A cache key is the SHA-256 of three ingredients (see :func:`cache_key`):
 
 * the **task spec** — the canonical JSON of the point's full description,
   which embeds the :meth:`NocConfig.fingerprint` /
-  :meth:`UPPConfig.fingerprint` content hashes, the topology name, the
+  :meth:`UPPConfig.fingerprint` content hashes, the topology parameters, the
   scheme name and every window parameter.  The spec's plain ``cfg`` dict
   is hashed without :attr:`NocConfig.NON_SEMANTIC_FIELDS`, so points that
   differ only in the engine that runs them share one entry;
@@ -38,6 +38,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.fingerprint import stable_fingerprint
 from repro.noc.config import NocConfig
+from repro.topology.registry import topology_label
 
 #: manual salt over the simulator's behaviour; bump when a change alters
 #: simulation results without touching any config field.
@@ -273,15 +274,18 @@ def _process_exists(pid: int) -> bool:
 def spec_summary(spec: Mapping) -> str:
     """One-line human label for a task spec (progress lines, cache ls)."""
     kind = spec.get("kind", "?")
+    topology = spec.get("topology", "?")
+    if isinstance(topology, Mapping):
+        topology = topology_label(topology)
     if kind == "sweep_point":
         return (
             f"{spec.get('scheme', '?')}/{spec.get('pattern', '?')}"
-            f"@{spec.get('rate', '?')} on {spec.get('topology', '?')}"
+            f"@{spec.get('rate', '?')} on {topology}"
         )
     if kind == "workload":
         profile = spec.get("profile", {})
         return (
             f"{spec.get('scheme', '?')}/{profile.get('name', '?')} "
-            f"on {spec.get('topology', '?')}"
+            f"on {topology}"
         )
     return kind

@@ -1,4 +1,4 @@
-"""The versioned job wire schema (``repro-job/v1``) and its validator.
+"""The versioned job wire schema (``repro-job/v2``) and its validator.
 
 Task specs (:func:`repro.exp.tasks.sweep_point_spec` /
 :func:`~repro.exp.tasks.workload_spec`) are no longer an internal detail
@@ -7,7 +7,7 @@ them, ``repro.client`` emits them) and live on disk (the result cache,
 the service's job queue).  That makes them a *wire format*, so every
 spec carries an explicit schema tag::
 
-    {"schema": "repro-job/v1", "kind": "sweep_point", ...}
+    {"schema": "repro-job/v2", "kind": "sweep_point", ...}
 
 :func:`validate_job` is the single entry point shared by the service,
 the CLI and the runner (:func:`repro.exp.tasks.execute_spec` refuses
@@ -25,44 +25,52 @@ import difflib
 from typing import Dict, Mapping, Tuple
 
 #: the wire-schema tag every job spec must carry.
-JOB_SCHEMA = "repro-job/v1"
+JOB_SCHEMA = "repro-job/v2"
 
-#: kinds this schema version defines, mapping to their field tables.
 _NUMBER = (int, float)
-
-#: field name -> (accepted types, "human type label").  ``None`` in the
-#: accepted-types tuple marks the field as nullable.
-_COMMON_FIELDS: Dict[str, Tuple[tuple, str]] = {
-    "schema": ((str,), "string"),
-    "kind": ((str,), "string"),
-    "topology": ((str,), "registered topology name (string)"),
-    "cfg": ((dict,), "NocConfig.to_dict() mapping"),
-    "cfg_fingerprint": ((str,), "NocConfig.fingerprint() string"),
-    "scheme": ((str,), "registered scheme name (string)"),
-    "upp_cfg": ((dict, type(None)), "UPPConfig.to_dict() mapping or null"),
-    "upp_cfg_fingerprint": ((str, type(None)), "fingerprint string or null"),
-}
-
-_KIND_FIELDS: Dict[str, Dict[str, Tuple[tuple, str]]] = {
-    "sweep_point": {
-        **_COMMON_FIELDS,
-        "pattern": ((str,), "traffic pattern name (string)"),
-        "rate": (_NUMBER, "injection rate (number)"),
-        "warmup": ((int,), "warmup cycles (integer)"),
-        "measure": ((int,), "measured cycles (integer)"),
-        "allow_deadlock": ((bool,), "boolean"),
-    },
-    "workload": {
-        **_COMMON_FIELDS,
-        "profile": ((dict,), "WorkloadProfile mapping"),
-        "max_cycles": ((int,), "cycle budget (integer)"),
-    },
-}
 
 
 def _unit(value) -> bool:
     return 0 <= value <= 1  # NaN fails too
 
+
+def _pair(value, low: int) -> bool:
+    """A ``[a, b]`` list of integers (not bools) of at least ``low``."""
+    ints = isinstance(value, list) and len(value) == 2
+    return ints and all(type(item) is int and item >= low for item in value)
+
+
+#: spec field -> (accepted types, what is accepted, range predicate or
+#: None); every table below has this shape.  ``type(None)`` among the
+#: types makes a field nullable; a bool (an int subclass) passes only
+#: where ``bool`` is listed.  The windows are the ones the service accepts.
+_COMMON_FIELDS: Dict[str, Tuple[tuple, str, object]] = {
+    "schema": ((str,), "a string", None),
+    "kind": ((str,), "a string", None),
+    "topology": ((dict,), "a topology parameter mapping", None),
+    "cfg": ((dict,), "a NocConfig.to_dict() mapping", None),
+    "cfg_fingerprint": ((str,), "a NocConfig.fingerprint() string", None),
+    "scheme": ((str,), "a registered scheme name (string)", None),
+    "upp_cfg": ((dict, type(None)), "a UPPConfig.to_dict() mapping or null", None),
+    "upp_cfg_fingerprint": ((str, type(None)), "a fingerprint string or null", None),
+}
+
+#: kinds this schema version defines, mapping to their field tables.
+_KIND_FIELDS: Dict[str, Dict[str, Tuple[tuple, str, object]]] = {
+    "sweep_point": {
+        **_COMMON_FIELDS,
+        "pattern": ((str,), "a traffic pattern name (string)", None),
+        "rate": (_NUMBER, "an injection rate in [0, 1]", _unit),
+        "warmup": ((int,), "a warmup cycle count >= 0", lambda v: v >= 0),
+        "measure": ((int,), "a measured cycle count >= 1", lambda v: v >= 1),
+        "allow_deadlock": ((bool,), "a boolean", None),
+    },
+    "workload": {
+        **_COMMON_FIELDS,
+        "profile": ((dict,), "a WorkloadProfile mapping", None),
+        "max_cycles": ((int,), "a cycle budget >= 1", lambda v: v >= 1),
+    },
+}
 
 #: ``WorkloadProfile`` field -> (accepted types, what is accepted, range
 #: predicate or None).  Exactly the dataclass's fields (a unit test pins
@@ -78,9 +86,27 @@ _PROFILE_FIELDS: Dict[str, Tuple[tuple, str, object]] = {
     "requests_per_core": ((int,), "an integer >= 1", lambda v: v >= 1),
 }
 
+_SHAPE = ((list,), "a [rows, cols] pair of integers >= 1", lambda v: _pair(v, 1))
+
+#: topology parameter -> as :data:`_PROFILE_FIELDS`; exactly the keys of
+#: :data:`repro.topology.registry.DEFAULT_PARAMS` (a unit test pins them).
+_TOPOLOGY_FIELDS: Dict[str, Tuple[tuple, str, object]] = {
+    "interposer_shape": _SHAPE,
+    "chiplet_shape": _SHAPE,
+    "chiplet_grid": _SHAPE,
+    "boundary_per_chiplet": ((int,), "an integer >= 1", lambda v: v >= 1),
+    "boundary_coords": (
+        (list, type(None)),
+        "null or a non-empty list of [row, col] pairs of integers >= 0",
+        lambda v: v is None or (v and all(_pair(c, 0) for c in v)),
+    ),
+    "faults": ((int,), "an integer >= 0", lambda v: v >= 0),
+    "fault_seed": ((int,), "an integer", None),
+}
+
 
 class JobSchemaError(ValueError):
-    """A job spec violates the ``repro-job/v1`` wire schema."""
+    """A job spec violates the ``repro-job/v2`` wire schema."""
 
 
 def job_kinds() -> Tuple[str, ...]:
@@ -93,44 +119,44 @@ def _suggest(name: str, candidates) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def _validate_profile(profile: Mapping) -> None:
-    """A workload spec's ``profile`` holds exactly the ``WorkloadProfile``
-    fields, each of its type and in its range."""
-    missing = [name for name in _PROFILE_FIELDS if name not in profile]
-    unknown = sorted(str(name) for name in profile if name not in _PROFILE_FIELDS)
+def _validate_fields(prefix: str, table, mapping: Mapping) -> None:
+    """``mapping`` holds exactly ``table``'s fields, each of its type and in
+    its range; errors name a field ``prefix`` + its name (``"profile."``)."""
+    missing = [name for name in table if name not in mapping]
+    unknown = sorted(str(name) for name in mapping if name not in table)
     if missing or unknown:
         problems = []
         if missing:
-            problems.append(f"is missing {', '.join(missing)}")
+            problems.append(f"is missing required field(s) {', '.join(missing)}")
         if unknown:
-            hints = _suggest(unknown[0], _PROFILE_FIELDS)
-            problems.append(f"has unknown key(s) {', '.join(unknown)}{hints}")
+            hints = _suggest(unknown[0], table)
+            problems.append(f"has unknown field(s) {', '.join(unknown)}{hints}")
+        owner = f"field {prefix[:-1]!r}" if prefix else "spec"
         raise JobSchemaError(
-            f"workload field 'profile' {' and '.join(problems)}; "
-            f"WorkloadProfile accepts: {', '.join(_PROFILE_FIELDS)}"
+            f"job {owner} {' and '.join(problems)}; it accepts: {', '.join(table)}"
         )
-    for name, (types, label, in_range) in _PROFILE_FIELDS.items():
-        value = profile[name]
+    for name, (types, label, in_range) in table.items():
+        value = mapping[name]
         if (
-            isinstance(value, bool)
+            (isinstance(value, bool) and bool not in types)
             or not isinstance(value, types)
             or (in_range is not None and not in_range(value))
         ):
             raise JobSchemaError(
-                f"workload field 'profile.{name}' must be {label}, got {value!r}"
+                f"job field '{prefix}{name}' must be {label}, got {value!r}"
             )
 
 
 def validate_job(spec: Mapping) -> Dict[str, object]:
-    """Validate one job spec against ``repro-job/v1``; returns a dict copy.
+    """Validate one job spec against ``repro-job/v2``; returns a dict copy.
 
     Raises :class:`JobSchemaError` with an actionable message on any
-    violation: wrong/missing schema tag, unknown kind, missing field,
-    mis-typed field, a field the schema does not define, a sweep
-    point's ``rate`` outside the traffic generator's range [0, 1], a
-    workload ``profile`` that is not a well-formed ``WorkloadProfile``
-    (see :data:`_PROFILE_FIELDS`), or a cycle window the service would
-    reject (``warmup < 0``, ``measure <= 0``, ``max_cycles <= 0``).
+    violation: wrong/missing schema tag, unknown kind, or a spec,
+    ``topology`` or workload ``profile`` field that is missing, unknown,
+    mis-typed or out of range (:data:`_KIND_FIELDS`,
+    :data:`_TOPOLOGY_FIELDS`, :data:`_PROFILE_FIELDS`): a sweep point's
+    ``rate`` outside the traffic generator's range [0, 1], a cycle window
+    the service would reject, a profile that never issues.
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(
@@ -152,45 +178,8 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
             f"unknown job kind {kind!r}{_suggest(str(kind), _KIND_FIELDS)}; "
             f"{JOB_SCHEMA} defines: {', '.join(job_kinds())}"
         )
-    fields = _KIND_FIELDS[kind]
-    missing = [name for name in fields if name not in spec]
-    if missing:
-        raise JobSchemaError(
-            f"{kind} spec is missing required field(s): {', '.join(missing)}"
-        )
-    unknown = [name for name in spec if name not in fields]
-    if unknown:
-        hints = "".join(_suggest(name, fields) for name in unknown[:1])
-        raise JobSchemaError(
-            f"{kind} spec has unknown field(s): {', '.join(sorted(unknown))}"
-            f"{hints}; {JOB_SCHEMA} {kind} accepts: {', '.join(fields)}"
-        )
-    for name, (types, label) in fields.items():
-        value = spec[name]
-        # bool is an int subclass; don't let True pass as an integer.
-        if isinstance(value, bool) and bool not in types:
-            pass
-        elif isinstance(value, types):
-            continue
-        raise JobSchemaError(
-            f"{kind} field {name!r} must be {label}, "
-            f"got {type(value).__name__} ({value!r})"
-        )
-    if kind == "sweep_point" and not 0 <= spec["rate"] <= 1:  # NaN fails too
-        raise JobSchemaError(
-            f"sweep_point field 'rate' must be an injection rate in [0, 1], "
-            f"got {spec['rate']!r}"
-        )
-    if kind == "sweep_point" and (spec["warmup"] < 0 or spec["measure"] <= 0):
-        raise JobSchemaError(
-            "sweep_point windows must satisfy warmup >= 0 and measure > 0, "
-            f"got warmup={spec['warmup']}, measure={spec['measure']}"
-        )
+    _validate_fields("", _KIND_FIELDS[kind], spec)
+    _validate_fields("topology.", _TOPOLOGY_FIELDS, spec["topology"])
     if kind == "workload":
-        _validate_profile(spec["profile"])
-    if kind == "workload" and spec["max_cycles"] <= 0:
-        raise JobSchemaError(
-            "workload field 'max_cycles' must be positive, "
-            f"got {spec['max_cycles']}"
-        )
+        _validate_fields("profile.", _PROFILE_FIELDS, spec["profile"])
     return dict(spec)

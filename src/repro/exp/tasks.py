@@ -1,7 +1,7 @@
 """Experiment point specs: JSON-able task descriptions and their executor.
 
 A *spec* is a plain dict fully describing one simulation point — topology
-name, canonical config dicts (plus their content fingerprints), scheme,
+parameters, canonical config dicts (plus their content fingerprints), scheme,
 traffic and window parameters.  Specs cross process boundaries (the
 runner pickles them to workers) and are the hashed payload of the result
 cache, so everything in them must be canonical and serialisable; no live
@@ -11,9 +11,7 @@ objects, no callables.
 simulation from the spec and returns a plain-dict result.  Because every
 point constructs a fresh seeded network, executing a spec in a worker
 process is bit-identical to executing it inline — the property the
-parallel-vs-serial regression tests assert.  It is also the only
-executor: points on an unregistered topology callable run through it
-too, with the factory passed in instead of looked up by name.
+parallel-vs-serial regression tests assert.
 """
 
 from __future__ import annotations
@@ -25,12 +23,31 @@ from repro.core.config import UPPConfig
 from repro.exp.schemas import JOB_SCHEMA, validate_job
 from repro.noc.config import NocConfig
 from repro.schemes.registry import make_scheme
-from repro.topology.registry import TopologyFactory, get_topology
+from repro.topology.registry import TopologyLike, get_topology, topology_params
 from repro.traffic.coherence import WorkloadProfile
 
 
+def _spec(
+    kind: str, topology: TopologyLike, cfg: NocConfig, scheme: str,
+    upp_cfg: Optional[UPPConfig],
+) -> Dict[str, object]:
+    """The fields every kind's spec shares."""
+    return {
+        "schema": JOB_SCHEMA,
+        "kind": kind,
+        "topology": topology_params(topology),
+        "cfg": cfg.to_dict(),
+        "cfg_fingerprint": cfg.fingerprint(),
+        "scheme": scheme,
+        "upp_cfg": upp_cfg.to_dict() if upp_cfg is not None else None,
+        "upp_cfg_fingerprint": (
+            upp_cfg.fingerprint() if upp_cfg is not None else None
+        ),
+    }
+
+
 def sweep_point_spec(
-    topology: str,
+    topology: TopologyLike,
     cfg: NocConfig,
     scheme: str,
     pattern: str,
@@ -42,16 +59,7 @@ def sweep_point_spec(
 ) -> Dict[str, object]:
     """One open-loop injection-rate point (the unit of a latency sweep)."""
     return {
-        "schema": JOB_SCHEMA,
-        "kind": "sweep_point",
-        "topology": topology,
-        "cfg": cfg.to_dict(),
-        "cfg_fingerprint": cfg.fingerprint(),
-        "scheme": scheme,
-        "upp_cfg": upp_cfg.to_dict() if upp_cfg is not None else None,
-        "upp_cfg_fingerprint": (
-            upp_cfg.fingerprint() if upp_cfg is not None else None
-        ),
+        **_spec("sweep_point", topology, cfg, scheme, upp_cfg),
         "pattern": pattern,
         "rate": rate,
         "warmup": warmup,
@@ -61,7 +69,7 @@ def sweep_point_spec(
 
 
 def workload_spec(
-    topology: str,
+    topology: TopologyLike,
     cfg: NocConfig,
     scheme: str,
     profile: WorkloadProfile,
@@ -70,16 +78,7 @@ def workload_spec(
 ) -> Dict[str, object]:
     """One closed-loop coherence workload run (Figs. 8, 12, 15)."""
     return {
-        "schema": JOB_SCHEMA,
-        "kind": "workload",
-        "topology": topology,
-        "cfg": cfg.to_dict(),
-        "cfg_fingerprint": cfg.fingerprint(),
-        "scheme": scheme,
-        "upp_cfg": upp_cfg.to_dict() if upp_cfg is not None else None,
-        "upp_cfg_fingerprint": (
-            upp_cfg.fingerprint() if upp_cfg is not None else None
-        ),
+        **_spec("workload", topology, cfg, scheme, upp_cfg),
         "profile": dataclasses.asdict(profile),
         "max_cycles": max_cycles,
     }
@@ -89,20 +88,23 @@ def workload_spec(
 # Execution (runs inline or inside a worker process).
 
 
-def _spec_configs(spec: Mapping):
-    cfg = NocConfig.from_dict(spec["cfg"])
-    upp_cfg = (
-        UPPConfig.from_dict(spec["upp_cfg"]) if spec["upp_cfg"] is not None else None
-    )
-    return cfg, upp_cfg
-
-
-def _execute_sweep_point(spec: Mapping, topology: TopologyFactory) -> Dict[str, object]:
+def _simulation(spec: Mapping):
+    """A fresh simulation of the spec's topology, configs and scheme."""
     from repro.sim.simulator import Simulation
+
+    upp_cfg = spec["upp_cfg"]
+    upp_cfg = UPPConfig.from_dict(upp_cfg) if upp_cfg is not None else None
+    return Simulation(
+        get_topology(spec["topology"])(),
+        NocConfig.from_dict(spec["cfg"]),
+        make_scheme(spec["scheme"], upp_cfg),
+    )
+
+
+def _execute_sweep_point(spec: Mapping) -> Dict[str, object]:
     from repro.traffic.synthetic import install_synthetic_traffic
 
-    cfg, upp_cfg = _spec_configs(spec)
-    sim = Simulation(topology(), cfg, make_scheme(spec["scheme"], upp_cfg))
+    sim = _simulation(spec)
     install_synthetic_traffic(sim.network, spec["pattern"], spec["rate"])
     result = sim.run(
         spec["warmup"], spec["measure"], allow_deadlock=spec["allow_deadlock"]
@@ -119,14 +121,12 @@ def _execute_sweep_point(spec: Mapping, topology: TopologyFactory) -> Dict[str, 
     }
 
 
-def _execute_workload(spec: Mapping, topology: TopologyFactory) -> Dict[str, object]:
-    from repro.sim.simulator import Simulation
+def _execute_workload(spec: Mapping) -> Dict[str, object]:
     from repro.traffic.coherence import install_coherence_workload, workload_finished
 
-    cfg, upp_cfg = _spec_configs(spec)
     profile = WorkloadProfile(**spec["profile"])
     max_cycles = spec["max_cycles"]
-    sim = Simulation(topology(), cfg, make_scheme(spec["scheme"], upp_cfg))
+    sim = _simulation(spec)
     endpoints = install_coherence_workload(sim.network, profile)
     unfinished = [e for e in endpoints if not e.done]
 
@@ -152,27 +152,19 @@ def _execute_workload(spec: Mapping, topology: TopologyFactory) -> Dict[str, obj
     return summary
 
 
-_EXECUTORS: Dict[str, Callable[[Mapping, TopologyFactory], Dict[str, object]]] = {
+_EXECUTORS: Dict[str, Callable[[Mapping], Dict[str, object]]] = {
     "sweep_point": _execute_sweep_point,
     "workload": _execute_workload,
 }
 
 
-def execute_spec(
-    spec: Mapping, topology: Optional[TopologyFactory] = None
-) -> Dict[str, object]:
+def execute_spec(spec: Mapping) -> Dict[str, object]:
     """Run one task spec to completion and return its plain-dict result.
 
-    Specs are validated against the ``repro-job/v1`` wire schema first —
+    Specs are validated against the ``repro-job/v2`` wire schema first —
     the same :func:`~repro.exp.schemas.validate_job` gate the service and
-    client apply, so a malformed spec fails identically everywhere.
-    ``topology`` is the factory to build; by default it is looked up by
-    the spec's registered ``topology`` name.  Passing one runs an
-    unregistered (ad-hoc) factory through the same executor — the
-    experiment layer does so on a serial, uncached runner, since such a
-    factory can neither be pickled to a worker nor content-addressed.
+    client apply, so a malformed spec fails identically everywhere.  The
+    spec's topology parameters are built through :func:`get_topology`.
     """
     spec = validate_job(spec)
-    if topology is None:
-        topology = get_topology(spec["topology"])
-    return _EXECUTORS[spec["kind"]](spec, topology)
+    return _EXECUTORS[spec["kind"]](spec)

@@ -5,7 +5,7 @@ comparison by preset/scheme/pattern name.  The service normalises it
 (defaults filled, names resolved against the live registries) before it
 becomes a :class:`~repro.service.jobs.Job`; the normalised request is
 what gets fingerprinted for single-flight dedup and what the runner
-expands into ``repro-job/v1`` point specs
+expands into ``repro-job/v2`` point specs
 (:mod:`repro.exp.schemas`).
 
 Validation follows the same contract as :func:`repro.exp.schemas.validate_job`:
@@ -16,12 +16,11 @@ accepted values — never silently defaulted.
 
 from __future__ import annotations
 
-import difflib
 import math
 from typing import Dict, Mapping, Tuple
 
 from repro.exp.cache import CODE_VERSION, git_revision
-from repro.exp.schemas import JobSchemaError
+from repro.exp.schemas import JobSchemaError, _suggest
 from repro.fingerprint import stable_fingerprint
 
 SWEEP_REQUEST_SCHEMA = "repro-sweep-request/v1"
@@ -56,11 +55,6 @@ _WORKLOAD_FIELDS: Dict[str, Tuple[object, tuple, str]] = {
     "scale": (0.25, _NUMBER, "workload scale factor (positive number)"),
     "max_cycles": (400_000, (int,), "cycle budget (positive integer)"),
 }
-
-
-def _suggest(name: str, candidates) -> str:
-    close = difflib.get_close_matches(name, list(candidates), n=1)
-    return f" (did you mean {close[0]!r}?)" if close else ""
 
 
 def _normalise(kind: str, schema_tag: str, fields, body: Mapping) -> Dict[str, object]:

@@ -10,30 +10,24 @@ Every point is a :mod:`repro.exp.tasks` spec run by an
 ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``) to fan a sweep out over worker
 processes and/or replay completed points from the content-addressed
 result cache.  Results are bit-identical at any job count: every point
-is an independent, freshly seeded simulation.  Ad-hoc topology callables
-that are not in :mod:`repro.topology.registry` cannot be shipped to
-workers or content-addressed, so their points run through the same
-executor on a private serial, uncached runner (``runner=`` is ignored
-for them).
+is an independent, freshly seeded simulation.  A topology is an alias
+or a (partial) parameter dict of :mod:`repro.topology.registry` — for
+example ``{"boundary_per_chiplet": 2}`` (Fig. 10) or ``{"faults": 5,
+"fault_seed": 11}`` (Fig. 11) — never a callable: a spec carries the
+parameters, so every point can fan out and replay from the cache.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import UPPConfig
-from repro.exp.runner import ExperimentRunner
-from repro.exp.tasks import execute_spec, sweep_point_spec, workload_spec
+from repro.exp.tasks import sweep_point_spec, workload_spec
 from repro.noc.config import NocConfig
 from repro.schemes.registry import make_scheme
-from repro.topology.chiplet import SystemTopology
-from repro.topology.registry import topology_name_of
+from repro.topology.registry import TopologyLike
 from repro.traffic.workloads import WorkloadProfile
-
-#: a topology argument: a registered name or a zero-argument factory.
-TopologyLike = Union[str, Callable[[], SystemTopology]]
 
 __all__ = [
     "SweepPoint",
@@ -57,27 +51,6 @@ def _runner_or_default(runner):
     return api.make_runner()
 
 
-def _topology_and_runner(
-    topo_factory: TopologyLike, runner
-) -> Tuple[str, ExperimentRunner]:
-    """(spec topology name, runner) for a topology argument.
-
-    A registered name or factory runs on ``runner`` (or the env-configured
-    default).  An unregistered callable runs on a private serial, uncached
-    runner whose executor builds that callable; its specs carry the
-    placeholder name ``"<unregistered>"``, which no cache or worker sees.
-    """
-    if isinstance(topo_factory, str):
-        name = topo_factory
-    else:
-        name = topology_name_of(topo_factory)
-    if name is not None:
-        return name, _runner_or_default(runner)
-    return "<unregistered>", ExperimentRunner(
-        execute=functools.partial(execute_spec, topology=topo_factory)
-    )
-
-
 @dataclass
 class SweepPoint:
     """One injection-rate point of a latency sweep."""
@@ -92,7 +65,7 @@ class SweepPoint:
 
 
 def latency_sweep(
-    topo_factory: TopologyLike,
+    topology: TopologyLike,
     cfg: NocConfig,
     scheme_name: str,
     pattern: str,
@@ -111,19 +84,18 @@ def latency_sweep(
     executes every point and truncates the series at the same rate, so
     the returned points are identical either way.)
     """
-    topo_name, run = _topology_and_runner(topo_factory, runner)
-
     def saturated(row: Dict[str, object]) -> bool:
         return row["latency"] > saturation_latency or row["deadlocked"]
 
     # a sweep's points differ only in rate: canonicalise and
     # fingerprint the configs once, not once per point
     shared = sweep_point_spec(
-        topo_name, cfg, scheme_name, pattern, None, warmup, measure,
+        topology, cfg, scheme_name, pattern, None, warmup, measure,
         upp_cfg=upp_cfg, allow_deadlock=scheme_name == "none",
     )
     specs = [{**shared, "rate": rate} for rate in rates]
-    return [SweepPoint(**row) for row in run.run(specs, stop_after=saturated)]
+    rows = _runner_or_default(runner).run(specs, stop_after=saturated)
+    return [SweepPoint(**row) for row in rows]
 
 
 def saturation_throughput(points: List[SweepPoint], zero_load_factor: float = 2.0) -> float:
@@ -142,7 +114,7 @@ def saturation_throughput(points: List[SweepPoint], zero_load_factor: float = 2.
 
 
 def run_workload(
-    topo_factory: TopologyLike,
+    topology: TopologyLike,
     cfg: NocConfig,
     scheme_name: str,
     profile: WorkloadProfile,
@@ -152,15 +124,14 @@ def run_workload(
 ) -> Dict[str, float]:
     """Closed-loop coherence run; runtime = cycles until every core done
     (Figs. 8, 12, 15)."""
-    topo_name, run = _topology_and_runner(topo_factory, runner)
     spec = workload_spec(
-        topo_name, cfg, scheme_name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
+        topology, cfg, scheme_name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
     )
-    return run.run([spec])[0]
+    return _runner_or_default(runner).run([spec])[0]
 
 
 def runtime_comparison(
-    topo_factory: TopologyLike,
+    topology: TopologyLike,
     cfg: NocConfig,
     profile: WorkloadProfile,
     schemes: Sequence[str] = ("composable", "remote_control", "upp"),
@@ -177,14 +148,13 @@ def runtime_comparison(
     """
     if not schemes:
         raise ValueError("schemes must name at least one scheme")
-    topo_name, run = _topology_and_runner(topo_factory, runner)
     specs = [
         workload_spec(
-            topo_name, cfg, name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
+            topology, cfg, name, profile, upp_cfg=upp_cfg, max_cycles=max_cycles
         )
         for name in schemes
     ]
-    rows = run.run(specs)
+    rows = _runner_or_default(runner).run(specs)
     reference = rows[0]["runtime"]
     return {
         name: {**row, "normalized_runtime": row["runtime"] / reference}

@@ -6,7 +6,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.config import UPPConfig
 from repro.noc.config import NocConfig
-from repro.topology.chiplet import SystemTopology, large_system
 
 #: Table II, network configuration rows.
 TABLE_II = {
@@ -51,7 +50,7 @@ def table2_upp_config(threshold: Optional[int] = None) -> UPPConfig:
     )
 
 
-#: system preset name -> (registered topology name, VCs per VNet).  The
+#: system preset name -> (topology alias, VCs per VNet).  The
 #: paper evaluates both systems with 1 and 4 VCs per VNet (Table II);
 #: ``repro.api.load_preset`` and the certifier's preset matrix both
 #: derive from this table.
@@ -62,7 +61,3 @@ SYSTEM_PRESETS: Dict[str, Tuple[str, int]] = {
     "large-4vc": ("large", 4),
 }
 
-
-def large_topology() -> SystemTopology:
-    """Alias of :func:`repro.topology.chiplet.large_system`."""
-    return large_system()

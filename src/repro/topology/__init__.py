@@ -9,12 +9,7 @@ from repro.topology.chiplet import (
     star_system,
 )
 from repro.topology.faults import inject_faults
-from repro.topology.registry import (
-    get_topology,
-    register_topology,
-    topology_name_of,
-    topology_names,
-)
+from repro.topology.registry import get_topology, topology_names, topology_params
 
 __all__ = [
     "SystemTopology",
@@ -24,8 +19,7 @@ __all__ = [
     "get_topology",
     "inject_faults",
     "large_system",
-    "register_topology",
     "star_system",
-    "topology_name_of",
     "topology_names",
+    "topology_params",
 ]

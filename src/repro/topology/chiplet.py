@@ -241,6 +241,8 @@ def build_system(
     if boundary_coords is None:
         boundary_coords = boundary_positions(crows, ccols, boundary_per_chiplet)
     _reject_duplicates(boundary_coords)
+    if not all(0 <= r < crows and 0 <= c < ccols for r, c in boundary_coords):
+        raise ValueError(f"boundary coordinates outside a {crows}x{ccols} chiplet")
     per_footprint = len(boundary_coords) / (frows * fcols)
     if per_footprint > 2:
         raise ValueError(
@@ -345,6 +347,35 @@ def build_heterogeneous_system(
     return topo
 
 
+#: ``build_system`` arguments of the named systems, keyed by their
+#: topology alias (:mod:`repro.topology.registry`); the rest default.
+PRESET_PARAMS: Dict[str, dict] = {
+    "baseline": {},
+    "large": {"interposer_shape": (4, 8), "chiplet_grid": (2, 4)},
+    # The smallest model-checkable system: two 4x1 column chiplets with
+    # boundary routers at both column ends.  Every intra-chiplet route
+    # shares the single vertical mesh path, which glues entry->exit
+    # channel chains into cycles (the baseline's witness anatomy) at a
+    # state-space size a bounded model checker can exhaust.  Boundary
+    # bindings have no hop-distance ties, so the certifier and the model
+    # checker see the identical routing function regardless of seed.
+    "mc-2x1": {
+        "interposer_shape": (1, 2),
+        "chiplet_shape": (4, 1),
+        "chiplet_grid": (1, 2),
+        "boundary_coords": [(0, 0), (3, 0)],
+    },
+    # The smallest system whose interposer layer is a 2D mesh: interposer
+    # turns enter the explored state space, which stays exhaustible.
+    "mc-2x2": {
+        "interposer_shape": (2, 2),
+        "chiplet_shape": (4, 1),
+        "chiplet_grid": (2, 2),
+        "boundary_coords": [(0, 0), (3, 0)],
+    },
+}
+
+
 def baseline_system() -> SystemTopology:
     """The paper's baseline: 4x4 interposer, four 4x4 chiplets, 4 boundary
     routers per chiplet (Fig. 1, Table II)."""
@@ -353,43 +384,7 @@ def baseline_system() -> SystemTopology:
 
 def large_system() -> SystemTopology:
     """The 128-node system of Fig. 9: 4x8 interposer, eight 4x4 chiplets."""
-    return build_system(
-        interposer_shape=(4, 8),
-        chiplet_grid=(2, 4),
-    )
-
-
-def mc_2x1_system() -> SystemTopology:
-    """Smallest model-checkable system: a 1x2 interposer carrying two 4x1
-    column chiplets, boundary routers at both column ends.
-
-    The column shape makes every intra-chiplet route share the single
-    vertical mesh path, which is what glues entry->exit channel chains
-    into cycles — the same anatomy as the baseline's witness cycles, at a
-    state-space size a bounded model checker can exhaust.  Boundary
-    bindings are deterministic (no hop-distance ties), so the certifier
-    and the model checker see the identical routing function regardless
-    of seed.
-    """
-    return build_system(
-        interposer_shape=(1, 2),
-        chiplet_shape=(4, 1),
-        chiplet_grid=(1, 2),
-        boundary_coords=[(0, 0), (3, 0)],
-    )
-
-
-def mc_2x2_system() -> SystemTopology:
-    """Second model-checking preset: a 2x2 interposer mesh with four 4x1
-    column chiplets in a 2x2 grid — the smallest system whose *interposer*
-    layer is a 2D mesh, exercising interposer turns in the explored state
-    space while staying exhaustible."""
-    return build_system(
-        interposer_shape=(2, 2),
-        chiplet_shape=(4, 1),
-        chiplet_grid=(2, 2),
-        boundary_coords=[(0, 0), (3, 0)],
-    )
+    return build_system(**PRESET_PARAMS["large"])
 
 
 def star_system(n_chiplets: int = 4) -> SystemTopology:

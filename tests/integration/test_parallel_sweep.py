@@ -72,40 +72,63 @@ def test_legacy_datapath_reads_a_vector_filled_cache(tmp_path):
     assert sweep_to_rows(replay) == sweep_to_rows(first)
 
 
-def test_unregistered_workload_matches_registered():
-    """An ad-hoc topology callable runs through the same executor as the
-    registered name and reproduces it exactly."""
+@pytest.mark.parametrize("same", ["baseline", {}, {"boundary_per_chiplet": 4}])
+def test_alias_and_parameter_dicts_share_spec_and_cache_key(same):
+    """Equal topologies give equal specs: an alias, the empty dict and a
+    dict spelling out a default are one point with one cache entry."""
+    from repro.exp.cache import cache_key
+    from repro.exp.tasks import sweep_point_spec
     from repro.noc.config import NocConfig
-    from repro.sim.experiment import run_workload
-    from repro.topology.chiplet import baseline_system
-    from repro.traffic.workloads import get_workload
 
-    cfg = NocConfig(vcs_per_vnet=1)
-    profile = get_workload("blackscholes", scale=0.05)
-    via_runner = run_workload(
-        "baseline", cfg, "upp", profile, runner=ExperimentRunner(jobs=1)
-    )
-    unregistered = run_workload(lambda: baseline_system(), cfg, "upp", profile)
-    assert via_runner == unregistered
+    def spec(topology):
+        return sweep_point_spec(
+            topology, NocConfig(), "upp", "uniform_random", 0.02, 200, 600
+        )
+
+    assert spec(same) == spec("baseline")
+    assert cache_key(spec(same)) == cache_key(spec("baseline"))
+    assert cache_key(spec({"boundary_per_chiplet": 2})) != cache_key(spec("baseline"))
+
+
+@needs_fork
+def test_faulty_topology_sweep_fans_out_and_replays(tmp_path):
+    """A Fig. 11-style seeded fault set is a spec parameter: its sweep is
+    identical at jobs=1 and jobs=2, and a warm re-run simulates nothing."""
+    from repro.noc.config import NocConfig
+    from repro.sim.experiment import latency_sweep
+
+    def sweep(runner, topology=None):
+        return sweep_to_rows(latency_sweep(
+            topology or {"faults": 5, "fault_seed": 11}, NocConfig(vcs_per_vnet=1),
+            "upp", "uniform_random", RATES, runner=runner, **WINDOW,
+        ))
+
+    serial = sweep(ExperimentRunner(jobs=1))
+    assert serial != sweep(ExperimentRunner(jobs=1), "baseline")  # faults applied
+    cold = ExperimentRunner(jobs=2, cache=ResultCache(tmp_path), mp_context="fork")
+    assert sweep(cold) == serial
+    assert cold.stats.executed == len(RATES)
+    warm = ExperimentRunner(jobs=2, cache=ResultCache(tmp_path), mp_context="fork")
+    assert sweep(warm) == serial
+    assert warm.stats.executed == 0
 
 
 def test_sweep_early_stop_preserved_through_runner():
-    """Serial sweeps stop at saturation; an unregistered topology's sweep
-    must return the identically truncated series."""
+    """Serial sweeps stop at saturation; a parameter-dict topology's sweep
+    returns the series its alias does, identically truncated."""
     from repro.noc.config import NocConfig
     from repro.sim.experiment import latency_sweep
-    from repro.topology.chiplet import baseline_system
 
     cfg = NocConfig(vcs_per_vnet=1)
     rates = (0.02, 0.3, 0.5)  # 0.3 is far past saturation
 
-    via_runner = latency_sweep(
+    via_alias = latency_sweep(
         "baseline", cfg, "upp", "uniform_random", rates,
         warmup=200, measure=600, runner=ExperimentRunner(jobs=1),
     )
-    unregistered = latency_sweep(
-        lambda: baseline_system(), cfg, "upp", "uniform_random", rates,
+    via_params = latency_sweep(
+        {"chiplet_grid": (2, 2)}, cfg, "upp", "uniform_random", rates,
         warmup=200, measure=600,
     )
-    assert sweep_to_rows(via_runner) == sweep_to_rows(unregistered)
-    assert len(via_runner) < len(rates)
+    assert sweep_to_rows(via_alias) == sweep_to_rows(via_params)
+    assert len(via_alias) < len(rates)

@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import UPPConfig
 from repro.noc.config import NocConfig
 from repro.sim.experiment import latency_sweep, saturation_throughput
-from repro.topology.chiplet import baseline_system
 
 RATES = (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13)
 
@@ -25,7 +24,7 @@ def sweeps():
     results = {}
     for scheme in ("composable", "remote_control", "upp"):
         results[scheme] = latency_sweep(
-            baseline_system,
+            "baseline",
             NocConfig(vcs_per_vnet=1),
             scheme,
             "uniform_random",
@@ -76,7 +75,7 @@ class TestThresholdInsensitivity:
         results = {}
         for threshold in (20, 1000):
             sweep = latency_sweep(
-                baseline_system,
+                "baseline",
                 NocConfig(vcs_per_vnet=1),
                 "upp",
                 "uniform_random",

@@ -27,9 +27,9 @@ from repro.metrics.stats import install_stats, result_fingerprint
 from repro.noc.config import NocConfig
 from repro.noc.flit import Packet, Port
 from repro.sim.experiment import make_scheme
-from repro.sim.presets import large_topology, table2_config, table2_upp_config
+from repro.sim.presets import table2_config, table2_upp_config
 from repro.sim.simulator import Simulation
-from repro.topology.chiplet import baseline_system, build_system
+from repro.topology.chiplet import baseline_system, build_system, large_system
 from repro.topology.faults import inject_faults
 from repro.traffic.adversarial import install_adversarial_traffic, witness_flows
 from repro.traffic.coherence import install_coherence_workload, workload_finished
@@ -52,7 +52,7 @@ def _synthetic(pattern, rate):
 
     def run(mode):
         cfg = engine_config(table2_config(), mode)
-        sim = Simulation(large_topology(), cfg, make_scheme("upp", table2_upp_config()))
+        sim = Simulation(large_system(), cfg, make_scheme("upp", table2_upp_config()))
         install_synthetic_traffic(sim.network, pattern, rate)
         return sim.run(100, 400)
 
@@ -110,7 +110,7 @@ class TestSchemeEquivalence:
         def run(mode):
             cfg = engine_config(table2_config(), mode)
             upp_cfg = table2_upp_config() if scheme == "upp" else None
-            sim = Simulation(large_topology(), cfg, make_scheme(scheme, upp_cfg))
+            sim = Simulation(large_system(), cfg, make_scheme(scheme, upp_cfg))
             install_synthetic_traffic(sim.network, "uniform_random", 0.04)
             result = sim.run(200, 1000, allow_deadlock=(scheme == "none"))
             return result_fingerprint(result)
@@ -283,7 +283,7 @@ class TestMirrorCoherence:
         else:
             cfg = engine_config(table2_config(), "vector")
             sim = Simulation(
-                large_topology(), cfg, make_scheme("upp", table2_upp_config())
+                large_system(), cfg, make_scheme("upp", table2_upp_config())
             )
             install_synthetic_traffic(sim.network, "uniform_random", 0.08)
             result = sim.run(100, 400)
@@ -299,7 +299,7 @@ class TestMirrorCoherence:
         re-arm, and ``verify_mirrors`` must report the stranded head."""
         cfg = engine_config(table2_config(), "vector")
         sim = Simulation(
-            large_topology(), cfg, make_scheme("upp", table2_upp_config())
+            large_system(), cfg, make_scheme("upp", table2_upp_config())
         )
         install_synthetic_traffic(sim.network, "uniform_random", 0.3)
         engine = sim.network.vector

@@ -161,9 +161,48 @@ class TestCommands:
         (row,) = payload["entries"]
         assert row["kind"] == "sweep_point"
         assert row["scheme"] == "upp"
+        assert row["label"] == "upp/uniform_random@0.02 on baseline"
         assert len(row["key"]) == 64  # sha256 fingerprint
         assert row["bytes"] > 0
         assert row["mtime_unix"] > 0
+
+    def test_cache_ls_labels_parameter_topologies(self, capsys, tmp_path):
+        """An alias's dict prints as the alias; any other topology as its
+        non-default parameters."""
+        import json
+
+        from repro.exp.cache import ResultCache
+        from repro.exp.tasks import sweep_point_spec
+        from repro.noc.config import NocConfig
+
+        cache = ResultCache(tmp_path)
+        for key, topology in (("a", {"chiplet_grid": [2, 4], "interposer_shape": [4, 8]}),
+                              ("b", {"boundary_per_chiplet": 2}),
+                              ("c", {"faults": 5, "fault_seed": 11})):
+            spec = sweep_point_spec(topology, NocConfig(), "upp", "transpose", 0.1, 1, 1)
+            cache.put(key * 64, spec, {"x": 1})
+        assert main(["cache", "ls", "--cache-dir", str(tmp_path), "--json"]) == 0
+        labels = {row["key"][0]: row["label"]
+                  for row in json.loads(capsys.readouterr().out)["entries"]}
+        assert labels == {
+            "a": "upp/transpose@0.1 on large",
+            "b": "upp/transpose@0.1 on system(boundary_per_chiplet=2)",
+            "c": "upp/transpose@0.1 on system(faults=5, fault_seed=11)",
+        }
+
+    @pytest.mark.parametrize("topology, argv", [
+        ("mc-2x1", ["sweep", "--rates", "0.01"]),
+        ("mc-2x2", ["workload", "blackscholes"]),
+    ])
+    def test_preset_less_topology_rejected_by_argparse(self, capsys, topology, argv):
+        """sweep / workload resolve --topology through a Table II preset, so
+        only topologies with one are choices (info keeps every alias)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--topology", topology])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        args = build_parser().parse_args(["info", "--topology", topology])
+        assert args.topology == topology
 
     @pytest.mark.parametrize("age", ["-1", "nan", "inf"])
     def test_cache_gc_rejects_non_finite_or_negative_age(self, capsys, tmp_path, age):

@@ -1,4 +1,4 @@
-"""Tests for the ``repro-job/v1`` wire schema and its single validator."""
+"""Tests for the ``repro-job/v2`` wire schema and its single validator."""
 
 import dataclasses
 
@@ -63,7 +63,12 @@ class TestSweepSpecs:
             assert validate_job(spec) == spec
         # ... and what a point's spec has always been, written out
         assert seen[0] == {
-            "schema": JOB_SCHEMA, "kind": "sweep_point", "topology": "baseline",
+            "schema": JOB_SCHEMA, "kind": "sweep_point",
+            "topology": {
+                "interposer_shape": [4, 4], "chiplet_shape": [4, 4],
+                "chiplet_grid": [2, 2], "boundary_per_chiplet": 4,
+                "boundary_coords": None, "faults": 0, "fault_seed": 0,
+            },
             "cfg": dataclasses.asdict(cfg), "cfg_fingerprint": cfg.fingerprint(),
             "scheme": "upp", "upp_cfg": dataclasses.asdict(upp_cfg),
             "upp_cfg_fingerprint": upp_cfg.fingerprint(), "pattern": "transpose",
@@ -105,12 +110,13 @@ class TestValidateJob:
     def test_missing_schema_tag_is_actionable(self):
         spec = sweep_spec()
         del spec["schema"]
-        with pytest.raises(JobSchemaError, match=r'add "schema": "repro-job/v1"'):
+        with pytest.raises(JobSchemaError, match=r'add "schema": "repro-job/v2"'):
             validate_job(spec)
 
-    def test_foreign_schema_rejected(self):
-        with pytest.raises(JobSchemaError, match="repro-job/v1"):
-            validate_job(sweep_spec(schema="repro-job/v99"))
+    @pytest.mark.parametrize("schema", ["repro-job/v1", "repro-job/v99"])
+    def test_foreign_schema_rejected(self, schema):
+        with pytest.raises(JobSchemaError, match="this build speaks repro-job/v2"):
+            validate_job(sweep_spec(schema=schema))
 
     def test_unknown_kind_suggests_close_match(self):
         with pytest.raises(JobSchemaError, match="did you mean 'sweep_point'"):
@@ -131,7 +137,7 @@ class TestValidateJob:
             validate_job(sweep_spec(bogus=1))
 
     def test_wrong_type_is_named(self):
-        with pytest.raises(JobSchemaError, match="'rate' must be injection rate"):
+        with pytest.raises(JobSchemaError, match="'rate' must be an injection rate"):
             validate_job(sweep_spec(rate="fast"))
 
     @pytest.mark.parametrize("rate", [float("nan"), 2.0, -0.1, float("inf")])
@@ -147,7 +153,8 @@ class TestValidateJob:
         "window", [{"warmup": -1}, {"measure": 0}, {"measure": -5}]
     )
     def test_sweep_window_outside_service_bounds_rejected(self, window):
-        with pytest.raises(JobSchemaError, match="warmup >= 0 and measure > 0"):
+        (field,) = window
+        with pytest.raises(JobSchemaError, match=rf"'{field}' must be .* >= \d"):
             validate_job(sweep_spec(**window))
 
     def test_zero_warmup_accepted(self):
@@ -159,7 +166,7 @@ class TestValidateJob:
             "baseline", NocConfig(vcs_per_vnet=1), "upp",
             get_workload("blackscholes", scale=0.05), max_cycles=max_cycles,
         )
-        with pytest.raises(JobSchemaError, match="'max_cycles' must be positive"):
+        with pytest.raises(JobSchemaError, match="'max_cycles' must be a cycle budget >= 1"):
             validate_job(spec)
 
     def test_profile_table_is_exactly_the_dataclass(self):
@@ -191,9 +198,50 @@ class TestValidateJob:
         spec = workload_job()
         spec["profile"]["isue_rate"] = spec["profile"].pop("issue_rate")
         with pytest.raises(
-            JobSchemaError, match=r"missing issue_rate.*unknown key\(s\) isue_rate"
+            JobSchemaError,
+            match=r"'profile' is missing required field\(s\) issue_rate.*unknown field\(s\) isue_rate",
         ):
             validate_job(spec)
+
+    def test_topology_table_is_exactly_the_parameters(self):
+        from repro.exp.schemas import _TOPOLOGY_FIELDS
+        from repro.topology.registry import DEFAULT_PARAMS
+
+        assert list(_TOPOLOGY_FIELDS) == list(DEFAULT_PARAMS)
+
+    @pytest.mark.parametrize("field, value", [
+        ("interposer_shape", [0, 4]), ("chiplet_shape", [4, -1]),
+        ("chiplet_grid", [2]), ("chiplet_grid", (2, 2)),
+        ("boundary_per_chiplet", True), ("boundary_per_chiplet", 0),
+        ("boundary_coords", [[0, True]]), ("boundary_coords", []),
+        ("faults", -1), ("faults", 1.5), ("fault_seed", 1.5), ("fault_seed", "11"),
+        ("fault_seed", None),
+    ])
+    def test_bad_topology_value_names_the_field(self, field, value):
+        spec = sweep_spec()
+        spec["topology"][field] = value
+        with pytest.raises(JobSchemaError, match=rf"'topology\.{field}' must be"):
+            validate_job(spec)
+
+    def test_unknown_or_missing_topology_key_rejected(self):
+        spec = sweep_spec()
+        spec["topology"]["fault_sed"] = spec["topology"].pop("fault_seed")
+        with pytest.raises(
+            JobSchemaError,
+            match=r"missing required field\(s\) fault_seed.*unknown field\(s\) fault_sed.*'fault_seed'",
+        ):
+            validate_job(spec)
+
+    def test_topology_name_is_not_a_v2_topology(self):
+        with pytest.raises(JobSchemaError, match="'topology' must be"):
+            validate_job(sweep_spec(topology="baseline"))
+
+    def test_faulty_topology_passes(self):
+        spec = sweep_point_spec(
+            {"faults": 5, "fault_seed": 11, "boundary_per_chiplet": 2},
+            NocConfig(), "upp", "uniform_random", 0.05, 200, 600,
+        )
+        assert validate_job(spec) == spec
 
     def test_bool_does_not_pass_as_integer(self):
         with pytest.raises(JobSchemaError, match="'warmup'"):
@@ -212,22 +260,28 @@ class TestRunnerIntegration:
         with pytest.raises(JobSchemaError, match="unknown job kind"):
             execute_spec({"schema": JOB_SCHEMA, "kind": "frobnicate"})
 
-    @pytest.mark.parametrize("window", [
-        dict(rates=(1.5,)),
-        dict(rates=(0.01,), warmup=-5),
-    ], ids=["rate", "warmup"])
-    @pytest.mark.parametrize("topology", ["registered", "unregistered"])
-    def test_unregistered_topology_is_validated_alike(self, topology, window):
-        """An ad-hoc topology callable's points pass the same schema gate
-        as a registered name's."""
+    @pytest.mark.parametrize("topology", [
+        lambda: None, ("baseline",), 42,
+    ], ids=["callable", "tuple", "int"])
+    def test_topology_must_be_an_alias_or_parameter_dict(self, topology):
+        """A topology callable cannot be a spec parameter: the harnesses
+        name the dict form instead of running it off the runner."""
         from repro.exp import ExperimentRunner
         from repro.sim.experiment import latency_sweep
-        from repro.topology.chiplet import baseline_system
 
-        topo = "baseline" if topology == "registered" else (lambda: baseline_system())
-        params = {"warmup": 10, "measure": 10, **window}
-        with pytest.raises(JobSchemaError):
+        with pytest.raises(TypeError, match="parameter dict"):
             latency_sweep(
-                topo, NocConfig(), "upp", "uniform_random",
-                runner=ExperimentRunner(jobs=1), **params,
+                topology, NocConfig(), "upp", "uniform_random", rates=(0.01,),
+                warmup=10, measure=10, runner=ExperimentRunner(jobs=1),
+            )
+
+    @pytest.mark.parametrize("topology", ["baseline", {"faults": 2, "fault_seed": 3}])
+    def test_parameter_dict_points_pass_the_schema_gate(self, topology):
+        from repro.exp import ExperimentRunner
+        from repro.sim.experiment import latency_sweep
+
+        with pytest.raises(JobSchemaError, match="'warmup' must be"):
+            latency_sweep(
+                topology, NocConfig(), "upp", "uniform_random", rates=(0.01,),
+                warmup=-5, measure=10, runner=ExperimentRunner(jobs=1),
             )

@@ -57,7 +57,7 @@ class TestFourVcBehaviour:
         sats = {}
         for vcs in (1, 4):
             points = latency_sweep(
-                baseline_system,
+                "baseline",
                 NocConfig(vcs_per_vnet=vcs),
                 "upp",
                 "uniform_random",

@@ -13,12 +13,13 @@ from repro.schemes.registry import (
     table1_scheme_names,
 )
 from repro.schemes.upp import UPPScheme
-from repro.topology import registry as topo_registry
 from repro.topology.chiplet import baseline_system, large_system
 from repro.topology.registry import (
+    TOPOLOGY_ALIASES,
     get_topology,
-    topology_name_of,
+    topology_label,
     topology_names,
+    topology_params,
 )
 
 
@@ -114,18 +115,50 @@ class TestTopologyRegistry:
     def test_builtin_names(self):
         assert set(topology_names()) >= {"baseline", "large"}
 
-    def test_get_topology_resolves_factories(self):
-        assert get_topology("baseline") is baseline_system
-        assert get_topology("large") is large_system
+    def test_aliases_build_the_named_systems(self):
+        for name, system in (("baseline", baseline_system), ("large", large_system)):
+            built, named = get_topology(name)(), system()
+            assert built.links == named.links
+            assert built.attach_down == named.attach_down
+            assert built.interposer_shape == named.interposer_shape
 
     def test_get_topology_unknown(self):
         with pytest.raises(ValueError, match="unknown topology"):
             get_topology("moebius")
 
-    def test_reverse_lookup(self):
-        assert topology_name_of(baseline_system) == "baseline"
-        assert topology_name_of(lambda: None) is None
+    def test_callable_rejected_naming_the_dict_form(self):
+        with pytest.raises(TypeError, match=r"parameter dict such as \{'boundary"):
+            get_topology(baseline_system)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            topo_registry.register_topology("baseline", baseline_system)
+    def test_canonical_form(self):
+        baseline = topology_params("baseline")
+        assert baseline == topology_params({}) == TOPOLOGY_ALIASES["baseline"]
+        assert topology_params({"boundary_per_chiplet": 4}) == baseline
+        assert topology_params({"chiplet_grid": (2, 2)}) == baseline
+        assert topology_params({"faults": 0, "fault_seed": 9}) == baseline
+        coords = topology_params({"boundary_coords": ((0, 0), (3, 3))})
+        assert coords["boundary_coords"] == [[0, 0], [3, 3]]
+        assert coords["boundary_per_chiplet"] == 2
+        # a fresh dict each call: callers may not alias the table
+        baseline["faults"] = 3
+        assert TOPOLOGY_ALIASES["baseline"]["faults"] == 0
+
+    def test_faults_are_seeded(self):
+        import random
+
+        from repro.topology.faults import inject_faults
+
+        expected = inject_faults(baseline_system(), 5, random.Random(11)).faulty
+        assert get_topology({"faults": 5, "fault_seed": 11})().faulty == expected
+        assert get_topology({"faults": 5, "fault_seed": 12})().faulty != expected
+        assert not get_topology("baseline")().faulty
+
+    def test_labels(self):
+        assert topology_label(topology_params({"interposer_shape": [4, 8],
+                                               "chiplet_grid": [2, 4]})) == "large"
+        assert topology_label(topology_params({"boundary_per_chiplet": 2})) == (
+            "system(boundary_per_chiplet=2)"
+        )
+        assert topology_label(topology_params({"faults": 5, "fault_seed": 11})) == (
+            "system(faults=5, fault_seed=11)"
+        )

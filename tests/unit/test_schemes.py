@@ -92,11 +92,11 @@ class TestComposableDesign:
     def test_rebuild_reports_the_latest_topology_only(self):
         """A scheme object rebuilt on a system with fewer chiplets must
         not keep reporting the earlier system's designs."""
-        from repro.topology.chiplet import mc_2x1_system
+        from repro.topology.registry import get_topology
 
         scheme = ComposableRoutingScheme()
         Network(baseline_system(), NocConfig(), scheme)
-        Network(mc_2x1_system(), NocConfig(), scheme)
+        Network(get_topology("mc-2x1")(), NocConfig(), scheme)
         assert sorted(scheme.designs) == [0, 1]
         assert scheme.stats_snapshot() == {
             "turn_restrictions": 4,

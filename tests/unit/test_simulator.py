@@ -112,7 +112,7 @@ class TestSweepHelpers:
 
     def test_latency_sweep_stops_past_saturation(self):
         points = latency_sweep(
-            baseline_system,
+            "baseline",
             NocConfig(vcs_per_vnet=1),
             "upp",
             "uniform_random",

@@ -144,6 +144,21 @@ class TestHeterogeneousBuilder:
         with pytest.raises(ValueError, match="duplicate boundary"):
             build_system(boundary_coords=[(0, 1), (3, 2), (0, 1), (3, 1)])
 
+    @pytest.mark.parametrize("coord", [(0, 4), (4, 0), (-1, 0)])
+    def test_boundary_outside_the_chiplet_rejected_by_both_builders(self, coord):
+        """(0, 4) on a 4x4 chiplet would index router (1, 0) of the same
+        chiplet: a topology other than the one its parameters name."""
+        from repro.topology.chiplet import build_heterogeneous_system
+
+        with pytest.raises(ValueError, match="outside"):
+            build_heterogeneous_system(
+                (2, 2),
+                [{"shape": (4, 4), "origin": (0, 0), "footprint": (2, 2),
+                  "boundary": [(0, 1), coord]}],
+            )
+        with pytest.raises(ValueError, match="outside"):
+            build_system(boundary_coords=[(0, 1), coord])
+
     def test_single_chiplet_system(self):
         from repro.topology.chiplet import build_heterogeneous_system
 
