@@ -5,10 +5,11 @@ composable routing with 4 boundary routers and 1 VC.
 Expected shape: every scheme improves with more vertical links; UPP keeps
 the lowest latency and best-or-equal throughput at every point."""
 
+import dataclasses
+
 import pytest
 
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
+from repro import api
 
 from benchmarks.common import bench_runner, print_series, scaled
 
@@ -18,22 +19,18 @@ RATES = (0.01, 0.04, 0.07, 0.10, 0.13)
 
 
 def run_all(vcs: int):
+    base = api.load_preset("baseline" if vcs == 1 else "baseline-4vc")
     results = {}
     for count in COUNTS:
+        preset = dataclasses.replace(base, topology={"boundary_per_chiplet": count})
         for scheme in SCHEMES:
-            points = latency_sweep(
-                {"boundary_per_chiplet": count},
-                NocConfig(vcs_per_vnet=vcs),
-                scheme,
-                "uniform_random",
-                RATES,
-                warmup=scaled(400),
-                measure=scaled(1500),
-                runner=bench_runner(),
+            points = api.run_sweep(
+                preset, scheme, "uniform_random", RATES,
+                warmup=scaled(400), measure=scaled(1500), runner=bench_runner(),
             )
             results[(count, scheme)] = {
                 "latency": points[0].latency,
-                "saturation": saturation_throughput(points),
+                "saturation": api.saturation_throughput(points),
             }
     return results
 

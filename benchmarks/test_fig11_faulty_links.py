@@ -6,10 +6,11 @@ composable's design-time search cannot rerun online and remote control's
 permission subnetwork is hard-wired.  Expected shape: graceful saturation
 degradation and a mild latency increase as links fail."""
 
+import dataclasses
+
 import pytest
 
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
+from repro import api
 
 from benchmarks.common import bench_runner, full_mode, print_series, scaled
 
@@ -21,22 +22,20 @@ SEEDS = (11, 23)
 
 def run_counts(vcs: int):
     counts = FAULTS_FULL if full_mode() else FAULTS_DEFAULT
+    base = api.load_preset("baseline" if vcs == 1 else "baseline-4vc")
     results = {}
     for n_faults in counts:
         latencies, saturations = [], []
         for seed in SEEDS if n_faults else SEEDS[:1]:
-            points = latency_sweep(
-                {"faults": n_faults, "fault_seed": seed},
-                NocConfig(vcs_per_vnet=vcs),
-                "upp",
-                "uniform_random",
-                RATES,
-                warmup=scaled(400),
-                measure=scaled(1500),
-                runner=bench_runner(),
+            preset = dataclasses.replace(
+                base, topology={"faults": n_faults, "fault_seed": seed}
+            )
+            points = api.run_sweep(
+                preset, "upp", "uniform_random", RATES,
+                warmup=scaled(400), measure=scaled(1500), runner=bench_runner(),
             )
             latencies.append(points[0].latency)
-            saturations.append(saturation_throughput(points))
+            saturations.append(api.saturation_throughput(points))
         results[n_faults] = {
             "latency": sum(latencies) / len(latencies),
             "saturation": sum(saturations) / len(saturations),

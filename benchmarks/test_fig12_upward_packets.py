@@ -7,9 +7,8 @@ network-bound benchmarks (canneal, fft, radix) dominate the counts with
 positives cost almost nothing (Sec. VI-C)."""
 
 
-from repro.sim.experiment import run_workload
-from repro.sim.presets import table2_config
-from repro.traffic.workloads import get_workload, workload_names
+from repro import api
+from repro.traffic.workloads import workload_names
 
 from benchmarks.common import bench_runner, bench_scale, full_mode, print_series
 
@@ -21,16 +20,14 @@ def workloads():
 
 
 def run_counts():
-    scale = 0.25 * bench_scale()
     results = {}
     for name in workloads():
-        profile = get_workload(name, scale=scale)
         per_vcs = {}
-        for vcs in (1, 4):
-            summary = run_workload(
-                "baseline", table2_config(vcs), "upp", profile,
+        for vcs, preset in ((1, "baseline"), (4, "baseline-4vc")):
+            summary = api.run_workload(
+                preset, name, "upp", scale=0.25 * bench_scale(),
                 runner=bench_runner(),
-            )
+            )["upp"]
             per_vcs[vcs] = {
                 "upward": summary["upward_packets"],
                 "total": summary["total_packets"],

@@ -6,11 +6,12 @@ thresholds; (b) the fraction of packets ever selected as upward packets
 stays small (well below 10% with 1 VC, near zero with 4 VCs) and shrinks
 as the threshold grows."""
 
+import dataclasses
+
 import pytest
 
+from repro import api
 from repro.core.config import UPPConfig
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
 
 from benchmarks.common import bench_runner, print_series, scaled
 
@@ -19,25 +20,19 @@ RATES = (0.02, 0.05, 0.08, 0.11)
 
 
 def run_thresholds(vcs: int):
+    base = api.load_preset("baseline" if vcs == 1 else "baseline-4vc")
     results = {}
     for threshold in THRESHOLDS:
-        points = latency_sweep(
-            "baseline",
-            NocConfig(vcs_per_vnet=vcs),
-            "upp",
-            "uniform_random",
-            RATES,
-            warmup=scaled(400),
-            measure=scaled(1800),
-            upp_cfg=UPPConfig(
-                detection_threshold=threshold,
-                ack_timeout=max(20 * threshold, 400),
-            ),
-            runner=bench_runner(),
+        preset = dataclasses.replace(base, upp_config=UPPConfig(
+            detection_threshold=threshold, ack_timeout=max(20 * threshold, 400),
+        ))
+        points = api.run_sweep(
+            preset, "upp", "uniform_random", RATES,
+            warmup=scaled(400), measure=scaled(1800), runner=bench_runner(),
         )
         total_upward = sum(p.upward_packets for p in points)
         results[threshold] = {
-            "saturation": saturation_throughput(points),
+            "saturation": api.saturation_throughput(points),
             "upward": total_upward,
             "points": points,
         }

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from repro.metrics.energy import network_energy
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.presets import table2_config
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system

@@ -10,8 +10,7 @@ sits 5-8% higher in latency; composable routing saturates earliest
 
 import pytest
 
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
+from repro import api
 
 from benchmarks.common import bench_runner, full_mode, print_series, scaled
 
@@ -28,19 +27,14 @@ def patterns():
 
 def run_pattern(pattern: str, vcs: int):
     rates = RATES_1VC if vcs == 1 else RATES_4VC
-    results = {}
-    for scheme in SCHEMES:
-        results[scheme] = latency_sweep(
-            "baseline",
-            NocConfig(vcs_per_vnet=vcs),
-            scheme,
-            pattern,
-            rates,
-            warmup=scaled(400),
-            measure=scaled(2000),
-            runner=bench_runner(),
+    preset = "baseline" if vcs == 1 else "baseline-4vc"
+    return {
+        scheme: api.run_sweep(
+            preset, scheme, pattern, rates,
+            warmup=scaled(400), measure=scaled(2000), runner=bench_runner(),
         )
-    return results
+        for scheme in SCHEMES
+    }
 
 
 @pytest.mark.parametrize("pattern", PATTERNS_FULL)
@@ -58,7 +52,7 @@ def test_fig7(benchmark, pattern, vcs):
         ["series", "inj rate", "latency (cyc)", "thpt"],
         rows,
     )
-    sat = {s: saturation_throughput(pts) for s, pts in results.items()}
+    sat = {s: api.saturation_throughput(pts) for s, pts in results.items()}
     print("  saturation throughput:", {k: round(v, 4) for k, v in sat.items()})
     # shape assertions: UPP lowest latency at low load, best-or-equal saturation
     assert results["upp"][0].latency <= results["remote_control"][0].latency

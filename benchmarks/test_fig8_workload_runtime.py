@@ -10,9 +10,8 @@ import math
 
 import pytest
 
-from repro.sim.experiment import runtime_comparison
-from repro.sim.presets import table2_config
-from repro.traffic.workloads import get_workload, workload_names
+from repro import api
+from repro.traffic.workloads import workload_names
 
 from benchmarks.common import bench_runner, bench_scale, full_mode, print_series
 
@@ -25,15 +24,14 @@ def workloads():
 
 
 def run_suite(vcs: int):
-    scale = 0.25 * bench_scale()
-    results = {}
-    for name in workloads():
-        profile = get_workload(name, scale=scale)
-        results[name] = runtime_comparison(
-            "baseline", table2_config(vcs), profile, SCHEMES,
+    preset = "baseline" if vcs == 1 else "baseline-4vc"
+    return {
+        name: api.run_workload(
+            preset, name, SCHEMES, scale=0.25 * bench_scale(),
             runner=bench_runner(),
         )
-    return results
+        for name in workloads()
+    }
 
 
 def geomean(values):

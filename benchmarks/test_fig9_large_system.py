@@ -7,8 +7,7 @@ larger network is inherently less load-balanced, Sec. VI-B)."""
 
 import pytest
 
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
+from repro import api
 
 from benchmarks.common import bench_runner, print_series, scaled
 
@@ -18,17 +17,13 @@ RATES = (0.01, 0.03, 0.05, 0.07, 0.09)
 
 @pytest.mark.parametrize("vcs", (1, 4))
 def test_fig9(benchmark, vcs):
+    preset = "large" if vcs == 1 else "large-4vc"
+
     def run():
         return {
-            scheme: latency_sweep(
-                "large",
-                NocConfig(vcs_per_vnet=vcs),
-                scheme,
-                "uniform_random",
-                RATES,
-                warmup=scaled(400),
-                measure=scaled(1600),
-                runner=bench_runner(),
+            scheme: api.run_sweep(
+                preset, scheme, "uniform_random", RATES,
+                warmup=scaled(400), measure=scaled(1600), runner=bench_runner(),
             )
             for scheme in SCHEMES
         }
@@ -44,7 +39,7 @@ def test_fig9(benchmark, vcs):
         ["series", "inj rate", "latency (cyc)", "thpt"],
         rows,
     )
-    sat = {s: saturation_throughput(pts) for s, pts in results.items()}
+    sat = {s: api.saturation_throughput(pts) for s, pts in results.items()}
     print("  saturation:", {k: round(v, 4) for k, v in sat.items()})
     assert results["upp"][0].latency <= results["remote_control"][0].latency
     assert sat["upp"] >= sat["composable"] * 0.99

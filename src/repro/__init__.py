@@ -29,15 +29,10 @@ from repro.noc.flit import FlitKind, Packet, Port
 from repro.noc.network import Network
 from repro.schemes.composable import ComposableRoutingScheme
 from repro.schemes.none import UnprotectedScheme
+from repro.schemes.registry import make_scheme
 from repro.schemes.remote_control import RemoteControlScheme
 from repro.schemes.upp import UPPScheme
-from repro.sim.experiment import (
-    latency_sweep,
-    make_scheme,
-    run_workload,
-    runtime_comparison,
-    saturation_throughput,
-)
+from repro.sim.experiment import saturation_throughput
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.sim.simulator import DeadlockError, Simulation, SimulationResult
 from repro.topology.chiplet import (
@@ -84,10 +79,7 @@ __all__ = [
     "install_coherence_workload",
     "install_synthetic_traffic",
     "large_system",
-    "latency_sweep",
     "make_scheme",
-    "run_workload",
-    "runtime_comparison",
     "saturation_throughput",
     "star_system",
     "table2_config",

@@ -42,13 +42,13 @@ from repro.exp.backends import (
 from repro.exp.cache import ResultCache
 from repro.exp.runner import ExperimentRunner, ProgressFn
 from repro.exp.schemas import JOB_SCHEMA, JobSchemaError, validate_job
+from repro.exp.tasks import sweep_point_spec, workload_spec
 from repro.noc.config import NocConfig
 from repro.schemes.registry import make_scheme, scheme_names
-from repro.sim import experiment as _experiment
 from repro.sim.experiment import SweepPoint, saturation_throughput, sweep_to_rows
 from repro.sim.presets import SYSTEM_PRESETS, table2_config, table2_upp_config
 from repro.sim.simulator import Simulation
-from repro.topology.registry import get_topology, topology_names
+from repro.topology.registry import TopologyLike, get_topology, topology_names
 from repro.traffic.workloads import get_workload
 
 __all__ = [
@@ -79,11 +79,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Preset:
-    """One named system configuration: topology + Table II configs."""
+    """One system configuration: topology + Table II configs.
 
-    name: str
-    #: topology alias (resolve with :meth:`topology_factory`).
-    topology: str
+    A figure's variant of a named preset is a
+    ``dataclasses.replace(load_preset(name), topology=..., upp_config=...)``.
+    """
+
+    #: topology alias or (partial) parameter dict of
+    #: :mod:`repro.topology.registry` (resolve with :meth:`topology_factory`).
+    topology: TopologyLike
     config: NocConfig
     upp_config: UPPConfig
 
@@ -111,7 +115,6 @@ def load_preset(
             f"unknown preset {name!r}; presets: {', '.join(preset_names())}"
         ) from None
     return Preset(
-        name=name,
         topology=topo_name,
         config=table2_config(vcs, seed=seed),
         upp_config=table2_upp_config(threshold),
@@ -225,18 +228,19 @@ def run_sweep(
     ``cache_dir`` is shorthand for the sharded-dir backend.
     """
     resolved = _coerce_preset(preset)
-    return _experiment.latency_sweep(
-        resolved.topology,
-        resolved.config,
-        scheme,
-        pattern,
-        rates,
-        warmup=warmup,
-        measure=measure,
-        upp_cfg=resolved.upp_config,
-        saturation_latency=saturation_latency,
-        runner=_resolve_runner(runner, jobs, cache_dir, cache, progress),
+    run = _resolve_runner(runner, jobs, cache_dir, cache, progress)
+
+    def saturated(row: Dict[str, object]) -> bool:
+        return row["latency"] > saturation_latency or row["deadlocked"]
+
+    # a sweep's points differ only in rate: canonicalise and
+    # fingerprint the configs once, not once per point
+    shared = sweep_point_spec(
+        resolved.topology, resolved.config, scheme, pattern, None, warmup,
+        measure, upp_cfg=resolved.upp_config, allow_deadlock=scheme == "none",
     )
+    rows = run.run([{**shared, "rate": rate} for rate in rates], stop_after=saturated)
+    return [SweepPoint(**row) for row in rows]
 
 
 def run_workload(
@@ -254,31 +258,30 @@ def run_workload(
 ) -> Dict[str, Dict[str, float]]:
     """Closed-loop coherence runs, keyed by scheme name.
 
-    With two or more schemes each summary gains ``normalized_runtime``
-    relative to the first scheme (the paper normalises to composable).
-    A single scheme name returns ``{scheme: summary}`` without the
+    With a sequence of schemes each summary gains ``normalized_runtime``
+    relative to the first scheme (the paper normalises to composable);
+    their runs are submitted as one batch, so a parallel runner overlaps
+    them.  A single scheme name returns ``{scheme: summary}`` without the
     normalisation.
     """
     resolved = _coerce_preset(preset)
     profile = get_workload(workload, scale=scale)
     run = _resolve_runner(runner, jobs, cache_dir, cache, progress)
-    if isinstance(schemes, str):
-        summary = _experiment.run_workload(
-            resolved.topology,
-            resolved.config,
-            schemes,
-            profile,
-            upp_cfg=resolved.upp_config,
-            max_cycles=max_cycles,
-            runner=run,
+    names = (schemes,) if isinstance(schemes, str) else tuple(schemes)
+    if not names:
+        raise ValueError("schemes must name at least one scheme")
+    rows = run.run([
+        workload_spec(
+            resolved.topology, resolved.config, name, profile,
+            upp_cfg=resolved.upp_config, max_cycles=max_cycles,
         )
-        return {schemes: summary}
-    return _experiment.runtime_comparison(
-        resolved.topology,
-        resolved.config,
-        profile,
-        schemes=tuple(schemes),
-        upp_cfg=resolved.upp_config,
-        max_cycles=max_cycles,
-        runner=run,
-    )
+        for name in names
+    ])
+    if isinstance(schemes, str):
+        return {schemes: rows[0]}
+    # new dicts: a runner's results may be its cache's own entries
+    reference = rows[0]["runtime"]
+    return {
+        name: {**row, "normalized_runtime": row["runtime"] / reference}
+        for name, row in zip(names, rows)
+    }

@@ -1,21 +1,22 @@
 """The versioned job wire schema (``repro-job/v2``) and its validator.
 
 Task specs (:func:`repro.exp.tasks.sweep_point_spec` /
-:func:`~repro.exp.tasks.workload_spec`) are no longer an internal detail
-of the runner: they travel over the network (``repro.service`` accepts
-them, ``repro.client`` emits them) and live on disk (the result cache,
-the service's job queue).  That makes them a *wire format*, so every
-spec carries an explicit schema tag::
+:func:`~repro.exp.tasks.workload_spec`) are not an internal detail of
+the runner: they are pickled to worker processes and live on disk as the
+hashed payload of the result cache.  That makes them a *wire format*, so
+every spec carries an explicit schema tag::
 
     {"schema": "repro-job/v2", "kind": "sweep_point", ...}
 
-:func:`validate_job` is the single entry point shared by the service,
-the CLI and the runner (:func:`repro.exp.tasks.execute_spec` refuses
-unvalidated kinds).  It is strict by design: a missing or foreign schema
-tag, a missing field, a mis-typed field or an *unknown* field are all
-rejected with errors that say exactly which field is wrong and what
-would be accepted — silent tolerance of unknown fields would let a typo
-(``"paterrn"``) quietly fall back to a default and poison the
+:func:`validate_job` is the one gate a spec passes:
+:func:`repro.exp.tasks.execute_spec` applies it before running any spec,
+whichever caller built it (the service and the CLI submit whole requests,
+checked by :mod:`repro.service.schemas` and argparse, and reach specs
+only through :mod:`repro.api`).  It is strict by design: a missing or
+foreign schema tag, a missing field, a mis-typed field or an *unknown*
+field are all rejected with errors that say exactly which field is wrong
+and what would be accepted — silent tolerance of unknown fields would
+let a typo (``"paterrn"``) quietly fall back to a default and poison the
 content-addressed cache with a mislabelled entry.
 """
 

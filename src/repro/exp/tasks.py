@@ -22,7 +22,7 @@ from typing import Callable, Dict, Mapping, Optional
 from repro.core.config import UPPConfig
 from repro.exp.schemas import JOB_SCHEMA, validate_job
 from repro.noc.config import NocConfig
-from repro.schemes.registry import make_scheme
+from repro.schemes.registry import make_scheme, spec_upp_config
 from repro.topology.registry import TopologyLike, get_topology, topology_params
 from repro.traffic.coherence import WorkloadProfile
 
@@ -32,6 +32,7 @@ def _spec(
     upp_cfg: Optional[UPPConfig],
 ) -> Dict[str, object]:
     """The fields every kind's spec shares."""
+    upp_cfg = spec_upp_config(scheme, upp_cfg)
     return {
         "schema": JOB_SCHEMA,
         "kind": kind,
@@ -161,10 +162,11 @@ _EXECUTORS: Dict[str, Callable[[Mapping], Dict[str, object]]] = {
 def execute_spec(spec: Mapping) -> Dict[str, object]:
     """Run one task spec to completion and return its plain-dict result.
 
-    Specs are validated against the ``repro-job/v2`` wire schema first —
-    the same :func:`~repro.exp.schemas.validate_job` gate the service and
-    client apply, so a malformed spec fails identically everywhere.  The
-    spec's topology parameters are built through :func:`get_topology`.
+    Specs are validated against the ``repro-job/v2`` wire schema first
+    (:func:`~repro.exp.schemas.validate_job`; this is the one place it is
+    applied, so every spec a runner executes — inline, in a worker or
+    for the service — passes the same gate).  The spec's topology
+    parameters are built through :func:`get_topology`.
     """
     spec = validate_job(spec)
     return _EXECUTORS[spec["kind"]](spec)

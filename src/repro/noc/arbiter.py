@@ -7,9 +7,7 @@ packet from one VC as the upward packet").
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable, Optional, Sequence
 
 
 class RoundRobinArbiter:
@@ -56,25 +54,3 @@ class RoundRobinArbiter:
                 self._pointer = (idx + 1) % self.n
                 return idx
         return None
-
-
-class RotatingChooser:
-    """Round-robin choice over an arbitrary (possibly changing) item list.
-
-    Used where the candidate set is dynamic, e.g. selecting which input
-    port may use the shared UPP signal buffer multiplexer.
-    """
-
-    __slots__ = ("_pointer",)
-
-    def __init__(self) -> None:
-        self._pointer = 0
-
-    def choose(self, items: Sequence[T]) -> Optional[T]:
-        """Return the next item in rotation (``None`` when empty)."""
-        if not items:
-            return None
-        self._pointer %= len(items)
-        item = items[self._pointer]
-        self._pointer = (self._pointer + 1) % len(items)
-        return item

@@ -143,21 +143,6 @@ class Link:
             if due < box[0]:
                 box[0] = due
 
-    @mirror_hook
-    def deliver_flits(self, cycle: int):
-        """Yield ``(flit, out_vc)`` pairs whose latency has elapsed."""
-        while self._flits and self._flits[0][0] <= cycle:
-            _, flit, out_vc = self._flits.popleft()
-            if flit.is_signal and self._sched is not None:
-                self._sched.note_signal_left_link()
-            yield flit, out_vc
-
-    @mirror_hook
-    def deliver_credits(self, cycle: int):
-        """Yield credits whose latency has elapsed."""
-        while self._credits and self._credits[0][0] <= cycle:
-            yield self._credits.popleft()[1]
-
     @property
     def in_flight(self) -> int:
         """Flits currently traversing the link."""

@@ -232,9 +232,6 @@ class Network:
     def note_signal_entered_link(self) -> None:
         self._link_signals += 1
 
-    def note_signal_left_link(self) -> None:
-        self._link_signals -= 1
-
     def note_flits_created(self, n: int) -> None:
         self._live_flits += n
 
@@ -326,8 +323,7 @@ class Network:
         """Drain one link's due flits and credits into its endpoints.
 
         Works directly on the link's timestamped deques (the single
-        hottest loop in the simulator — the generator form of
-        :meth:`Link.deliver_flits` is kept for standalone use)."""
+        hottest loop in the simulator)."""
         kind = link.kind
         flits = link._flits
         credits = link._credits

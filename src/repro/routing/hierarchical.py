@@ -70,10 +70,3 @@ class HierarchicalRouting:
         if rid == exit_b:
             return Port.DOWN
         return local.next_port(rid, in_port, exit_b)
-
-    # ------------------------------------------------------------------ #
-
-    def entry_interposer_router(self, dst: int) -> int:
-        """The interposer router from which packets pop up toward ``dst``
-        (used by tests of the Sec. V-B5 same-entry property)."""
-        return self.topo.attach_down[self.entry_binding[dst]]

@@ -8,8 +8,10 @@ every surface picks it up.
 
 A factory takes the (optional) :class:`~repro.core.config.UPPConfig` and
 returns a fresh scheme instance; schemes that do not consume the UPP
-configuration simply ignore it.  Registration order is meaningful: it is
-the paper's presentation order and the order every derived listing uses.
+configuration simply ignore it, and are registered without
+``reads_upp_config`` so a spec of theirs carries none
+(:func:`spec_upp_config`).  Registration order is meaningful: it is the
+paper's presentation order and the order every derived listing uses.
 """
 
 from __future__ import annotations
@@ -37,13 +39,20 @@ class SchemeEntry:
     #: (the unprotected baseline is a demonstration aid, not a row).
     table1_row: bool
     description: str
+    #: whether the factory reads its UPP config argument (a None
+    #: argument standing for the default ``UPPConfig()``).
+    reads_upp_config: bool
 
 
 _REGISTRY: Dict[str, SchemeEntry] = {}
 
 
 def register_scheme(
-    name: str, *, table1_row: bool = True, description: str = ""
+    name: str,
+    *,
+    table1_row: bool = True,
+    description: str = "",
+    reads_upp_config: bool = False,
 ) -> Callable[[SchemeFactory], SchemeFactory]:
     """Decorator registering ``factory`` under ``name``.
 
@@ -59,6 +68,7 @@ def register_scheme(
             factory=factory,
             table1_row=table1_row,
             description=description,
+            reads_upp_config=reads_upp_config,
         )
         return factory
 
@@ -87,14 +97,16 @@ def table1_scheme_names() -> Tuple[str, ...]:
     return tuple(e.name for e in _REGISTRY.values() if e.table1_row)
 
 
-def get_entry(name: str) -> SchemeEntry:
-    """The full registry entry for ``name`` (KeyError-free lookup)."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown scheme {name!r}; registered schemes: "
-            f"{', '.join(scheme_names())}"
-        )
-    return _REGISTRY[name]
+def spec_upp_config(name: str, upp_cfg: Optional[UPPConfig]) -> Optional[UPPConfig]:
+    """The UPP config a run of scheme ``name`` depends on: ``upp_cfg``,
+    or the default :class:`UPPConfig` for None, when the scheme reads it;
+    None for every other scheme.  Specs store this, so one simulation
+    has one spec and one cache key.  An unknown name gives None: the run
+    fails in :func:`make_scheme`, naming the registered schemes."""
+    entry = _REGISTRY.get(name)
+    if entry is None or not entry.reads_upp_config:
+        return None
+    return upp_cfg if upp_cfg is not None else UPPConfig()
 
 
 # --------------------------------------------------------------------- #
@@ -121,6 +133,7 @@ def _make_remote_control(upp_cfg: Optional[UPPConfig] = None) -> DeadlockScheme:
 @register_scheme(
     "upp",
     description="upward packet popup detection + recovery (the paper)",
+    reads_upp_config=True,
 )
 def _make_upp(upp_cfg: Optional[UPPConfig] = None) -> DeadlockScheme:
     return UPPScheme(upp_cfg)

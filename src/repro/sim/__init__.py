@@ -1,13 +1,7 @@
-"""Simulation driving: the run loop, experiment sweeps, Table II presets."""
+"""Simulation driving: the run loop, sweep results, Table II presets."""
 
-from repro.sim.experiment import (
-    SweepPoint,
-    latency_sweep,
-    make_scheme,
-    run_workload,
-    runtime_comparison,
-    saturation_throughput,
-)
+from repro.schemes.registry import make_scheme
+from repro.sim.experiment import SweepPoint, saturation_throughput
 from repro.sim.presets import TABLE_II, table2_config, table2_upp_config
 from repro.sim.simulator import DeadlockError, Simulation, SimulationResult
 
@@ -17,10 +11,7 @@ __all__ = [
     "SimulationResult",
     "SweepPoint",
     "TABLE_II",
-    "latency_sweep",
     "make_scheme",
-    "run_workload",
-    "runtime_comparison",
     "saturation_throughput",
     "table2_config",
     "table2_upp_config",

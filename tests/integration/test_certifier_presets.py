@@ -20,7 +20,7 @@ from repro.analysis.certifier import (
 )
 from repro.analysis.cli import PRESETS, SCHEMES, check_preset
 from repro.noc.network import Network
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.topology.chiplet import baseline_system
 from repro.topology.faults import inject_faults

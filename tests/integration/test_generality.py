@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.noc.config import NocConfig
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import build_system, large_system, star_system
 from repro.topology.faults import inject_faults
@@ -96,7 +96,7 @@ class TestSecondVerticalPort:
     def test_up2_carries_traffic(self):
         from repro.noc.flit import Port
         from repro.noc.network import Network
-        from repro.sim.experiment import make_scheme
+        from repro.schemes.registry import make_scheme
 
         net = Network(build_system(boundary_per_chiplet=8), NocConfig(), make_scheme("upp"))
         install_synthetic_traffic(net, "uniform_random", 0.08)
@@ -110,7 +110,7 @@ class TestSecondVerticalPort:
 
     def test_upp_recovers_with_up2_ports(self):
         from repro.sim.simulator import Simulation
-        from repro.sim.experiment import make_scheme
+        from repro.schemes.registry import make_scheme
         from repro.traffic.adversarial import install_adversarial_traffic, witness_flows
 
         sim = Simulation(

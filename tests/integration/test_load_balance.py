@@ -11,7 +11,7 @@ from repro.metrics.utilization import (
     vertical_link_loads,
 )
 from repro.noc.config import NocConfig
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system
 from repro.traffic.synthetic import install_synthetic_traffic

@@ -2,6 +2,7 @@
 serially, across worker processes, or replayed warm from the cache — the
 core guarantee the experiment runner sells."""
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -50,8 +51,6 @@ def test_warm_cache_executes_zero_simulations(tmp_path):
 def test_legacy_datapath_reads_a_vector_filled_cache(tmp_path):
     """The engine is not part of a point's identity: a legacy-datapath
     sweep over a cache a vector sweep filled simulates nothing."""
-    import dataclasses
-
     preset = api.load_preset("baseline")
 
     def on(datapath):
@@ -94,13 +93,14 @@ def test_alias_and_parameter_dicts_share_spec_and_cache_key(same):
 def test_faulty_topology_sweep_fans_out_and_replays(tmp_path):
     """A Fig. 11-style seeded fault set is a spec parameter: its sweep is
     identical at jobs=1 and jobs=2, and a warm re-run simulates nothing."""
-    from repro.noc.config import NocConfig
-    from repro.sim.experiment import latency_sweep
+    preset = api.load_preset("baseline")
 
     def sweep(runner, topology=None):
-        return sweep_to_rows(latency_sweep(
-            topology or {"faults": 5, "fault_seed": 11}, NocConfig(vcs_per_vnet=1),
-            "upp", "uniform_random", RATES, runner=runner, **WINDOW,
+        faulty = dataclasses.replace(
+            preset, topology=topology or {"faults": 5, "fault_seed": 11}
+        )
+        return sweep_to_rows(api.run_sweep(
+            faulty, "upp", "uniform_random", RATES, runner=runner, **WINDOW,
         ))
 
     serial = sweep(ExperimentRunner(jobs=1))
@@ -116,19 +116,16 @@ def test_faulty_topology_sweep_fans_out_and_replays(tmp_path):
 def test_sweep_early_stop_preserved_through_runner():
     """Serial sweeps stop at saturation; a parameter-dict topology's sweep
     returns the series its alias does, identically truncated."""
-    from repro.noc.config import NocConfig
-    from repro.sim.experiment import latency_sweep
-
-    cfg = NocConfig(vcs_per_vnet=1)
+    preset = api.load_preset("baseline")
     rates = (0.02, 0.3, 0.5)  # 0.3 is far past saturation
 
-    via_alias = latency_sweep(
-        "baseline", cfg, "upp", "uniform_random", rates,
+    via_alias = api.run_sweep(
+        preset, "upp", "uniform_random", rates,
         warmup=200, measure=600, runner=ExperimentRunner(jobs=1),
     )
-    via_params = latency_sweep(
-        {"chiplet_grid": (2, 2)}, cfg, "upp", "uniform_random", rates,
-        warmup=200, measure=600,
+    via_params = api.run_sweep(
+        dataclasses.replace(preset, topology={"chiplet_grid": (2, 2)}),
+        "upp", "uniform_random", rates, warmup=200, measure=600,
     )
     assert sweep_to_rows(via_alias) == sweep_to_rows(via_params)
     assert len(via_alias) < len(rates)

@@ -10,29 +10,25 @@ These tests check *who wins* and roughly *why* — not absolute numbers:
 * Detection-threshold choice barely moves UPP's results (Fig. 13).
 """
 
+import dataclasses
+
 import pytest
 
+from repro import api
 from repro.core.config import UPPConfig
-from repro.noc.config import NocConfig
-from repro.sim.experiment import latency_sweep, saturation_throughput
+from repro.sim.experiment import saturation_throughput
 
 RATES = (0.01, 0.03, 0.05, 0.07, 0.09, 0.11, 0.13)
 
 
 @pytest.fixture(scope="module")
 def sweeps():
-    results = {}
-    for scheme in ("composable", "remote_control", "upp"):
-        results[scheme] = latency_sweep(
-            "baseline",
-            NocConfig(vcs_per_vnet=1),
-            scheme,
-            "uniform_random",
-            RATES,
-            warmup=800,
-            measure=3000,
+    return {
+        scheme: api.run_sweep(
+            "baseline", scheme, "uniform_random", RATES, warmup=800, measure=3000
         )
-    return results
+        for scheme in ("composable", "remote_control", "upp")
+    }
 
 
 class TestLatencyOrdering:
@@ -72,17 +68,15 @@ class TestThresholdInsensitivity:
     def test_threshold_has_little_throughput_impact(self):
         """Fig. 13(a): 20 vs 1000-cycle thresholds barely move saturation
         throughput."""
+        baseline = api.load_preset("baseline")
         results = {}
         for threshold in (20, 1000):
-            sweep = latency_sweep(
-                "baseline",
-                NocConfig(vcs_per_vnet=1),
-                "upp",
-                "uniform_random",
-                (0.03, 0.07, 0.11),
-                warmup=500,
-                measure=2500,
-                upp_cfg=UPPConfig(detection_threshold=threshold, ack_timeout=2000),
+            preset = dataclasses.replace(baseline, upp_config=UPPConfig(
+                detection_threshold=threshold, ack_timeout=2000,
+            ))
+            sweep = api.run_sweep(
+                preset, "upp", "uniform_random", (0.03, 0.07, 0.11),
+                warmup=500, measure=2500,
             )
             results[threshold] = saturation_throughput(sweep)
         assert results[20] == pytest.approx(results[1000], rel=0.15)

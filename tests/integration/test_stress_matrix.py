@@ -9,7 +9,7 @@ repository's broadest single safety net.
 import pytest
 
 from repro.noc.config import NocConfig
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system
 from repro.traffic.synthetic import install_synthetic_traffic

@@ -26,7 +26,7 @@ import pytest
 from repro.metrics.stats import install_stats, result_fingerprint
 from repro.noc.config import NocConfig
 from repro.noc.flit import Packet, Port
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system, build_system, large_system

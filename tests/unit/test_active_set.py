@@ -15,7 +15,7 @@ from repro.noc.flit import Port
 from repro.noc.network import Network
 from repro.noc.ni import NEVER, Endpoint
 from repro.schemes.upp import UPPScheme
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.sim.presets import table2_config, table2_upp_config
 from repro.sim.simulator import Simulation
 from repro.topology.chiplet import baseline_system

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.noc.arbiter import RotatingChooser, RoundRobinArbiter
+from repro.noc.arbiter import RoundRobinArbiter
 
 
 class TestRoundRobinArbiter:
@@ -46,18 +46,3 @@ class TestRoundRobinArbiter:
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)
 
-
-class TestRotatingChooser:
-    def test_round_robins_over_items(self):
-        chooser = RotatingChooser()
-        items = ["a", "b", "c"]
-        assert [chooser.choose(items) for _ in range(4)] == ["a", "b", "c", "a"]
-
-    def test_empty(self):
-        assert RotatingChooser().choose([]) is None
-
-    def test_shrinking_list(self):
-        chooser = RotatingChooser()
-        chooser.choose([1, 2, 3])
-        chooser.choose([1, 2, 3])
-        assert chooser.choose([9]) == 9

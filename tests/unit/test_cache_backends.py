@@ -235,14 +235,6 @@ class TestApiCachePlumbing:
 
     def test_empty_scheme_list_names_schemes(self):
         from repro import api
-        from repro.sim.experiment import runtime_comparison
-        from repro.traffic.workloads import get_workload
 
         with pytest.raises(ValueError, match="schemes"):
             api.run_workload("baseline", "blackscholes", schemes=(), scale=0.05)
-        preset = api.load_preset("baseline")
-        with pytest.raises(ValueError, match="schemes"):
-            runtime_comparison(
-                preset.topology, preset.config,
-                get_workload("blackscholes", scale=0.05), schemes=(),
-            )

@@ -189,11 +189,22 @@ class TestDefaultRunner:
         warns about nothing."""
         import warnings
 
-        from repro.sim.experiment import _runner_or_default
+        from repro import api
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        built = []
+        real_make_runner = api.make_runner
+
+        def make_runner(*args, **kwargs):
+            built.append(real_make_runner(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(api, "make_runner", make_runner)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            runner = _runner_or_default(None)
-        assert runner.jobs == 1
+            points = api.run_sweep(
+                "baseline", "upp", rates=(0.01,), warmup=10, measure=40
+            )
+        assert len(points) == 1
+        assert [runner.jobs for runner in built] == [1]

@@ -32,7 +32,7 @@ class TestSweepSpecs:
     """A sweep's specs share one canonicalised config half."""
 
     def test_hoisted_sweep_specs_equal_per_rate_specs(self):
-        """What latency_sweep hands the runner is, key for key (and cache
+        """What run_sweep hands the runner is, key for key (and cache
         key for cache key), what building every point on its own gives."""
         from repro import api
         from repro.exp.cache import cache_key
@@ -82,6 +82,69 @@ class TestSweepSpecs:
         )
         assert spec["upp_cfg"] is None and spec["upp_cfg_fingerprint"] is None
         assert spec["allow_deadlock"] is True
+
+
+class TestOneKeyPerSimulation:
+    """A spec carries the UPP config only for a scheme that reads it, so
+    every spelling of one simulation gives one cache key."""
+
+    @pytest.mark.parametrize("build", ["sweep", "workload"])
+    def test_upp_default_config_and_none_share_a_key(self, build):
+        from repro.core.config import UPPConfig
+        from repro.exp.cache import cache_key
+
+        def spec(upp_cfg):
+            if build == "sweep":
+                return sweep_point_spec(
+                    "baseline", NocConfig(), "upp", "uniform_random", 0.05,
+                    200, 600, upp_cfg=upp_cfg,
+                )
+            return workload_spec(
+                "baseline", NocConfig(), "upp",
+                get_workload("blackscholes", scale=0.05), upp_cfg=upp_cfg,
+            )
+
+        assert spec(None) == spec(UPPConfig())
+        assert spec(None)["upp_cfg"] == UPPConfig().to_dict()
+        assert cache_key(spec(None)) == cache_key(spec(UPPConfig()))
+        assert cache_key(spec(None)) != cache_key(
+            spec(UPPConfig(detection_threshold=100))
+        )
+
+    @pytest.mark.parametrize("scheme", ["composable", "remote_control", "none"])
+    @pytest.mark.parametrize("threshold", [None, 20, 100])
+    def test_schemes_that_ignore_the_upp_config_store_null(self, scheme, threshold):
+        from repro.core.config import UPPConfig
+        from repro.exp.cache import cache_key
+
+        upp_cfg = None if threshold is None else UPPConfig(detection_threshold=threshold)
+        spec = sweep_point_spec(
+            "baseline", NocConfig(), scheme, "uniform_random", 0.02, 10, 20,
+            upp_cfg=upp_cfg,
+        )
+        bare = sweep_point_spec(
+            "baseline", NocConfig(), scheme, "uniform_random", 0.02, 10, 20,
+        )
+        assert spec["upp_cfg"] is None and spec["upp_cfg_fingerprint"] is None
+        assert cache_key(spec) == cache_key(bare)
+
+    def test_threshold_variants_of_composable_replay(self):
+        """A composable sweep at another UPP threshold is the same
+        simulation: the second call replays the first's point."""
+        from repro import api
+        from repro.exp import ExperimentRunner, MemoryBackend
+
+        runner = ExperimentRunner(cache=MemoryBackend())
+        first = api.run_sweep(
+            api.load_preset("baseline", threshold=100), "composable",
+            rates=(0.01,), warmup=40, measure=200, runner=runner,
+        )
+        again = api.run_sweep(
+            "baseline", "composable", rates=(0.01,), warmup=40, measure=200,
+            runner=runner,
+        )
+        assert again == first
+        assert (runner.stats.executed, runner.stats.cached) == (1, 1)
 
 
 class TestValidateJob:
@@ -264,24 +327,26 @@ class TestRunnerIntegration:
         lambda: None, ("baseline",), 42,
     ], ids=["callable", "tuple", "int"])
     def test_topology_must_be_an_alias_or_parameter_dict(self, topology):
-        """A topology callable cannot be a spec parameter: the harnesses
-        name the dict form instead of running it off the runner."""
+        """A topology callable cannot be a spec parameter: run_sweep
+        names the dict form instead of running it off the runner."""
+        from repro import api
         from repro.exp import ExperimentRunner
-        from repro.sim.experiment import latency_sweep
 
+        preset = dataclasses.replace(api.load_preset("baseline"), topology=topology)
         with pytest.raises(TypeError, match="parameter dict"):
-            latency_sweep(
-                topology, NocConfig(), "upp", "uniform_random", rates=(0.01,),
+            api.run_sweep(
+                preset, "upp", "uniform_random", rates=(0.01,),
                 warmup=10, measure=10, runner=ExperimentRunner(jobs=1),
             )
 
     @pytest.mark.parametrize("topology", ["baseline", {"faults": 2, "fault_seed": 3}])
     def test_parameter_dict_points_pass_the_schema_gate(self, topology):
+        from repro import api
         from repro.exp import ExperimentRunner
-        from repro.sim.experiment import latency_sweep
 
+        preset = dataclasses.replace(api.load_preset("baseline"), topology=topology)
         with pytest.raises(JobSchemaError, match="'warmup' must be"):
-            latency_sweep(
-                topology, NocConfig(), "upp", "uniform_random", rates=(0.01,),
+            api.run_sweep(
+                preset, "upp", "uniform_random", rates=(0.01,),
                 warmup=-5, measure=10, runner=ExperimentRunner(jobs=1),
             )

@@ -3,32 +3,25 @@
 import pytest
 
 from repro.noc.buffer import Credit
+from repro.noc.config import NocConfig
 from repro.noc.flit import Packet, Port
 from repro.noc.link import Link
+from repro.noc.network import Network
+from repro.topology.chiplet import baseline_system
 
 
-def flit():
-    return Packet(0, 1, 0, 1, 0).make_flits()[0]
+def flit(src=0, dst=1, vnet=0):
+    return Packet(src, dst, vnet, 1, 0).make_flits()[0]
+
+
+def two_cycle_link(datapath):
+    """A network whose links take 2 cycles, and one of its router links."""
+    cfg = NocConfig(link_latency=2, datapath=datapath, sanitize=False)
+    net = Network(baseline_system(), cfg)
+    return net, net._router_links[0]
 
 
 class TestLink:
-    def test_delivery_after_latency(self):
-        link = Link(0, 1, Port.EAST, latency=2)
-        f = flit()
-        link.send_flit(f, 0, cycle=10)
-        assert list(link.deliver_flits(10)) == []
-        assert list(link.deliver_flits(11)) == []
-        assert list(link.deliver_flits(12)) == [(f, 0)]
-        assert link.in_flight == 0
-
-    def test_fifo_order(self):
-        link = Link(0, 1, Port.EAST)
-        a, b = flit(), flit()
-        link.send_flit(a, 0, cycle=0)
-        link.send_flit(b, 1, cycle=1)
-        delivered = list(link.deliver_flits(5))
-        assert delivered == [(a, 0), (b, 1)]
-
     def test_dst_port_derived_from_src_port(self):
         link = Link(3, 4, Port.NORTH)
         assert link.dst_port == Port.SOUTH
@@ -37,13 +30,6 @@ class TestLink:
         # asymmetric vertical wiring (UP2/DOWN2) needs an explicit dst_port
         link = Link(3, 4, Port.DOWN2, dst_port=Port.UP2)
         assert link.dst_port == Port.UP2
-
-    def test_credit_path(self):
-        link = Link(0, 1, Port.WEST)
-        link.send_credit(Credit(0, True), cycle=4)
-        assert list(link.deliver_credits(4)) == []
-        credits = list(link.deliver_credits(5))
-        assert len(credits) == 1 and credits[0].vc_free
 
     def test_faulty_link_rejects_traffic(self):
         link = Link(0, 1, Port.EAST)
@@ -60,3 +46,45 @@ class TestLink:
         for i in range(3):
             link.send_flit(flit(), 0, i)
         assert link.flits_carried == 3
+
+
+@pytest.mark.parametrize("datapath", ["vector", "legacy"])
+class TestNetworkDelivery:
+    """The network drains a link exactly ``latency`` cycles after a send,
+    on both engines."""
+
+    def test_delivery_after_latency(self, datapath):
+        net, link = two_cycle_link(datapath)
+        f = flit(link.src, link.dst)
+        link.send_flit(f, 0, net.cycle)
+        vc = net.routers[link.dst].in_ports[link.dst_port].vcs[0]
+        for _ in range(2):
+            net.step()
+            assert link.in_flight == 1 and vc.front() is None
+        net.step()
+        assert link.in_flight == 0 and vc.front() is f
+
+    def test_pipelined_flits_arrive_in_send_order(self, datapath):
+        net, link = two_cycle_link(datapath)
+        a, b = flit(link.src, link.dst, 0), flit(link.src, link.dst, 1)
+        vcs = net.routers[link.dst].in_ports[link.dst_port].vcs
+        link.send_flit(a, 0, net.cycle)
+        net.step()
+        link.send_flit(b, 1, net.cycle)
+        net.step()
+        net.step()
+        assert vcs[0].front() is a and vcs[1].front() is None
+        net.step()
+        assert vcs[1].front() is b and link.idle
+
+    def test_credit_path(self, datapath):
+        net, link = two_cycle_link(datapath)
+        out = net.routers[link.src].out_ports[link.src_port]
+        depth = out.credits[0]
+        out.consume_credit(0)
+        link.send_credit(Credit(0, False), net.cycle)
+        for _ in range(2):
+            net.step()
+            assert out.credits[0] == depth - 1
+        net.step()
+        assert out.credits[0] == depth and link.idle

@@ -52,20 +52,19 @@ class TestVcStructure:
 
 class TestFourVcBehaviour:
     def test_more_vcs_raise_saturation(self):
-        from repro.sim.experiment import latency_sweep, saturation_throughput
+        from repro import api
 
         sats = {}
-        for vcs in (1, 4):
-            points = latency_sweep(
-                "baseline",
-                NocConfig(vcs_per_vnet=vcs),
+        for vcs, preset in ((1, "baseline"), (4, "baseline-4vc")):
+            points = api.run_sweep(
+                preset,
                 "upp",
                 "uniform_random",
                 (0.03, 0.07, 0.11, 0.15),
                 warmup=400,
                 measure=1500,
             )
-            sats[vcs] = saturation_throughput(points)
+            sats[vcs] = api.saturation_throughput(points)
         assert sats[4] > sats[1]
 
     def test_fewer_upward_packets_with_more_vcs(self):

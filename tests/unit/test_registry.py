@@ -6,7 +6,6 @@ import pytest
 from repro.schemes import registry as scheme_registry
 from repro.schemes.base import DeadlockScheme
 from repro.schemes.registry import (
-    get_entry,
     make_scheme,
     register_scheme,
     scheme_names,
@@ -70,13 +69,9 @@ class TestSchemeRegistry:
             assert "fake-scheme" in scheme_names()
             assert "fake-scheme" not in table1_scheme_names()
             assert isinstance(make_scheme("fake-scheme"), Fake)
-            assert get_entry("fake-scheme").description == "test-only"
+            assert scheme_registry._REGISTRY["fake-scheme"].description == "test-only"
         finally:
             del scheme_registry._REGISTRY["fake-scheme"]
-
-    def test_get_entry_unknown(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            get_entry("magic")
 
 
 class TestDerivedSurfaces:

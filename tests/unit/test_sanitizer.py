@@ -13,7 +13,7 @@ from repro.noc.config import NocConfig
 from repro.noc.flit import Port
 from repro.noc.network import Network
 from repro.schemes.upp import UPPScheme
-from repro.sim.experiment import make_scheme
+from repro.schemes.registry import make_scheme
 from repro.topology.chiplet import baseline_system
 from repro.traffic.synthetic import install_synthetic_traffic
 

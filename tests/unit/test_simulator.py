@@ -2,15 +2,12 @@
 
 import pytest
 
+from repro import api
 from repro.noc.config import NocConfig
 from repro.schemes.none import UnprotectedScheme
+from repro.schemes.registry import make_scheme
 from repro.schemes.upp import UPPScheme
-from repro.sim.experiment import (
-    SweepPoint,
-    latency_sweep,
-    make_scheme,
-    saturation_throughput,
-)
+from repro.sim.experiment import SweepPoint, saturation_throughput
 from repro.sim.presets import TABLE_II, table2_config, table2_upp_config
 from repro.sim.simulator import DeadlockError, Simulation
 from repro.topology.chiplet import baseline_system
@@ -110,10 +107,9 @@ class TestSweepHelpers:
         points = self._points([30, 31], [0.01, 0.02])
         assert saturation_throughput(points) == 0.02
 
-    def test_latency_sweep_stops_past_saturation(self):
-        points = latency_sweep(
+    def test_run_sweep_stops_past_saturation(self):
+        points = api.run_sweep(
             "baseline",
-            NocConfig(vcs_per_vnet=1),
             "upp",
             "uniform_random",
             (0.02, 0.3, 0.4),
