@@ -7,7 +7,9 @@ It layers four things over a bare loop:
 * **fan-out** — ``jobs > 1`` distributes points over a
   ``concurrent.futures`` process pool (points are embarrassingly
   parallel: every one builds a fresh seeded network, so parallel results
-  are bit-identical to serial by construction);
+  are bit-identical to serial by construction).  Before a ``fork`` pool
+  starts, the runner imports the per-cycle engine, so workers inherit it
+  instead of each importing it in its first network build;
 * **content-addressed caching** — with a
   :class:`~repro.exp.backends.CacheBackend` attached (sharded-dir
   :class:`~repro.exp.cache.ResultCache`, in-memory, or tiered),
@@ -181,6 +183,11 @@ class ExperimentRunner:
     ) -> List[int]:
         """One pool lifetime; returns the indexes needing a retry pool."""
         ctx = self._resolve_context()
+        if ctx.get_start_method() == "fork":
+            # each worker's first Network would otherwise import (and, with
+            # no bytecode cache, compile) the engine and numpy on its own;
+            # imported once here, every forked worker inherits them
+            import repro.noc.vector  # noqa: F401
         retry: List[int] = []
         executor = ProcessPoolExecutor(
             max_workers=min(self.jobs, len(pending)), mp_context=ctx

@@ -25,6 +25,9 @@ from __future__ import annotations
 import difflib
 from typing import Dict, Mapping, Tuple
 
+from repro.topology.chiplet import check_chiplet_grid, system_size
+from repro.topology.faults import check_fault_count
+
 #: the wire-schema tag every job spec must carry.
 JOB_SCHEMA = "repro-job/v2"
 
@@ -148,6 +151,33 @@ def _validate_fields(prefix: str, table, mapping: Mapping) -> None:
             )
 
 
+def _validate_buildable(topology: Mapping) -> None:
+    """Parameters each in range can still describe a system that cannot
+    be built; this runs ``build_system``'s and ``inject_faults``' own
+    checks on them, without building it."""
+    try:
+        check_chiplet_grid(topology["interposer_shape"], topology["chiplet_grid"])
+    except ValueError as exc:
+        raise JobSchemaError(
+            f"job field 'topology.chiplet_grid' {topology['chiplet_grid']!r} "
+            f"cannot build: {exc} (interposer_shape "
+            f"{topology['interposer_shape']!r})"
+        ) from None
+    if topology["faults"]:
+        size = system_size(
+            topology["interposer_shape"],
+            topology["chiplet_shape"],
+            topology["chiplet_grid"],
+        )
+        try:
+            check_fault_count(topology["faults"], *size)
+        except ValueError as exc:
+            raise JobSchemaError(
+                f"job field 'topology.faults' {topology['faults']!r} cannot "
+                f"build: {exc}"
+            ) from None
+
+
 def validate_job(spec: Mapping) -> Dict[str, object]:
     """Validate one job spec against ``repro-job/v2``; returns a dict copy.
 
@@ -157,7 +187,9 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
     mis-typed or out of range (:data:`_KIND_FIELDS`,
     :data:`_TOPOLOGY_FIELDS`, :data:`_PROFILE_FIELDS`): a sweep point's
     ``rate`` outside the traffic generator's range [0, 1], a cycle window
-    the service would reject, a profile that never issues.
+    the service would reject, a profile that never issues, a chiplet grid
+    that does not tile the interposer or more faults than the layers can
+    lose and stay connected.
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(
@@ -181,6 +213,7 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
         )
     _validate_fields("", _KIND_FIELDS[kind], spec)
     _validate_fields("topology.", _TOPOLOGY_FIELDS, spec["topology"])
+    _validate_buildable(spec["topology"])
     if kind == "workload":
         _validate_fields("profile.", _PROFILE_FIELDS, spec["profile"])
     return dict(spec)

@@ -9,7 +9,8 @@ composable-routing baseline's restricted chiplet tables.
 
 Construction is linear in the channel graph: one incoming-channel index
 serves every BFS, and each (router, in_port, destination) next hop is
-resolved at most once.
+resolved at most once, also across the candidate tables of a turn-restriction
+search (:meth:`TableRouting.with_vertical_restrictions`).
 """
 
 from __future__ import annotations
@@ -50,22 +51,28 @@ class TableRouting:
         self._dist: Dict[int, Dict[Tuple[int, Port], int]] = {
             dst: self._backward_bfs(dst) for dst in members
         }
-        #: resolved next hops: (rid, in_port, dst) -> port, None if unroutable
+        #: resolved next hops: (rid, in_port, dst) -> port, None if
+        #: unroutable; ``_down_next`` holds those entered through DOWN
         self._next: Dict[Tuple[int, Port, int], Optional[Port]] = {}
+        self._down_next: Dict[Tuple[int, Port, int], Optional[Port]] = {}
+        #: routed paths entered through any port but DOWN, by (src, in_port, dst)
+        self._walks: Dict[Tuple[int, Port, int], Tuple[Tuple[int, Port], ...]] = {}
 
     def with_vertical_restrictions(self, turn_model: TurnModel) -> "TableRouting":
         """A table over the same layer under ``turn_model``, which may
-        differ from this table's model only in turns into or out of a
-        vertical port.
+        differ from this table's model only in turns into or out of DOWN.
 
         The backward BFS takes mesh-to-mesh turns and the ejection turn
-        only, so such a model leaves every distance table unchanged: the
-        sibling shares them and resolves its own next hops.  The caller
-        owns the precondition.
+        only, so such a model leaves every distance table unchanged.  A
+        next hop entered through any other port turns into a mesh port, so
+        it is unchanged too, and so is every walk entered that way: the
+        sibling shares the distance tables, those next hops and those
+        walks, and resolves only its own DOWN-entry hops.  The caller owns
+        the precondition.
         """
         sibling = copy.copy(self)
         sibling.turn_model = turn_model
-        sibling._next = {}
+        sibling._down_next = {}
         return sibling
 
     # ------------------------------------------------------------------ #
@@ -110,11 +117,12 @@ class TableRouting:
 
     def try_next_port(self, rid: int, in_port: Port, dst: int) -> Optional[Port]:
         """Like :meth:`next_port`, but ``None`` when unroutable."""
+        table = self._down_next if in_port is Port.DOWN else self._next
         key = (rid, in_port, dst)
         try:
-            return self._next[key]
+            return table[key]
         except KeyError:
-            port = self._next[key] = self._resolve(rid, in_port, dst)
+            port = table[key] = self._resolve(rid, in_port, dst)
             return port
 
     def _resolve(self, rid: int, in_port: Port, dst: int) -> Optional[Port]:
@@ -137,24 +145,27 @@ class TableRouting:
 
     def path_length(self, src: int, in_port: Port, dst: int) -> Optional[int]:
         """Hop count of the routed path, or ``None`` if unreachable."""
-        if src == dst:
-            return 0
-        hops = 0
-        rid, port_in = src, in_port
-        while rid != dst:
-            port = self.try_next_port(rid, port_in, dst)
-            if port is None:
-                return None
-            nbr = self.neighbor_of[(rid, port)]
-            port_in = OPPOSITE[port]
-            rid = nbr
-            hops += 1
-            if hops > 4 * len(self.members):
-                raise RuntimeError("routing table produced a loop")
-        return hops
+        try:
+            return len(self.walk(src, in_port, dst))
+        except ValueError:
+            return None
 
-    def walk(self, src: int, in_port: Port, dst: int) -> List[Tuple[int, Port]]:
+    def walk(
+        self, src: int, in_port: Port, dst: int
+    ) -> Tuple[Tuple[int, Port], ...]:
         """The (router, out_port) sequence of the routed path."""
+        if in_port is Port.DOWN and src != dst:
+            # only the first hop can differ between sibling tables
+            port = self.try_next_port(src, in_port, dst)
+            if port is None:
+                raise ValueError(f"unroutable: {src} -> {dst}")
+            nbr = self.neighbor_of[(src, port)]
+            return ((src, port), *self.walk(nbr, OPPOSITE[port], dst))
+        key = (src, in_port, dst)
+        try:
+            return self._walks[key]
+        except KeyError:
+            pass
         steps: List[Tuple[int, Port]] = []
         rid, port_in = src, in_port
         while rid != dst:
@@ -166,7 +177,8 @@ class TableRouting:
             port_in = OPPOSITE[port]
             if len(steps) > 4 * len(self.members):
                 raise RuntimeError("routing table produced a loop")
-        return steps
+        walk = self._walks[key] = tuple(steps)
+        return walk
 
 
 class TranslatedRouting:

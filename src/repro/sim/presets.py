@@ -42,12 +42,16 @@ def table2_config(vcs_per_vnet: int = 1, seed: int = 2022) -> NocConfig:
 
 
 def table2_upp_config(threshold: Optional[int] = None) -> UPPConfig:
-    """The paper's UPP configuration (20-cycle detection threshold)."""
-    return UPPConfig(
-        detection_threshold=(
-            threshold if threshold is not None else TABLE_II["upp_detection_threshold"]
-        )
-    )
+    """The paper's UPP configuration (20-cycle detection threshold).
+
+    The ack timeout keeps ``UPPConfig``'s default, which is far above
+    any ack round trip, until a threshold reaches it; from there it is
+    the threshold plus one, the least timeout a config accepts.
+    """
+    if threshold is None:
+        threshold = TABLE_II["upp_detection_threshold"]
+    ack_timeout = max(UPPConfig.ack_timeout, threshold + 1)
+    return UPPConfig(detection_threshold=threshold, ack_timeout=ack_timeout)
 
 
 #: system preset name -> (topology alias, VCs per VNet).  The

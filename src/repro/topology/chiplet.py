@@ -176,6 +176,37 @@ class SystemTopology:
         return sorted(pairs)
 
 
+def check_chiplet_grid(
+    interposer_shape: Tuple[int, int], chiplet_grid: Tuple[int, int]
+) -> None:
+    """Raise ``ValueError`` unless ``chiplet_grid`` evenly tiles the
+    interposer (``build_system``'s own check, also run on job specs)."""
+    irows, icols = interposer_shape
+    grows, gcols = chiplet_grid
+    if irows % grows or icols % gcols:
+        raise ValueError("chiplet grid must evenly tile the interposer")
+
+
+def system_size(
+    interposer_shape: Tuple[int, int],
+    chiplet_shape: Tuple[int, int],
+    chiplet_grid: Tuple[int, int],
+) -> Tuple[int, int, int]:
+    """(mesh link pairs, routers, layers) of the system ``build_system``
+    builds from these arguments, without building it."""
+    n_chiplets = chiplet_grid[0] * chiplet_grid[1]
+
+    def pairs(rows: int, cols: int) -> int:
+        return rows * (cols - 1) + (rows - 1) * cols
+
+    return (
+        pairs(*interposer_shape) + n_chiplets * pairs(*chiplet_shape),
+        interposer_shape[0] * interposer_shape[1]
+        + n_chiplets * chiplet_shape[0] * chiplet_shape[1],
+        1 + n_chiplets,
+    )
+
+
 def build_system(
     interposer_shape: Tuple[int, int] = (4, 4),
     chiplet_shape: Tuple[int, int] = (4, 4),
@@ -190,10 +221,9 @@ def build_system(
     The default arguments produce the paper's baseline system: a 4x4
     interposer with four 4x4 chiplets, four boundary routers each.
     """
+    check_chiplet_grid(interposer_shape, chiplet_grid)
     irows, icols = interposer_shape
     grows, gcols = chiplet_grid
-    if irows % grows or icols % gcols:
-        raise ValueError("chiplet grid must evenly tile the interposer")
     frows, fcols = irows // grows, icols // gcols  # footprint per chiplet
 
     n_chiplets = grows * gcols

@@ -43,6 +43,20 @@ def _layers_connected(topo: SystemTopology, exclude: Set[Tuple[int, int]]) -> bo
     return True
 
 
+def check_fault_count(
+    n_faults: int, n_links: int, n_routers: int, n_layers: int
+) -> None:
+    """Raise ``ValueError`` when no ``n_faults`` of a system's ``n_links``
+    mesh link pairs can fail with each of its ``n_layers`` layers still
+    connected: a connected layer of n routers keeps at least n - 1 links."""
+    most = n_links - (n_routers - n_layers)
+    if n_faults > most:
+        raise ValueError(
+            f"cannot fail {n_faults} of {n_links} links and keep every layer "
+            f"connected (at most {most})"
+        )
+
+
 def inject_faults(
     topo: SystemTopology, n_faults: int, rng: random.Random
 ) -> SystemTopology:
@@ -53,8 +67,9 @@ def inject_faults(
     be found after a bounded number of attempts.
     """
     candidates = topo.mesh_link_pairs()
-    if n_faults > len(candidates):
-        raise ValueError(f"cannot fail {n_faults} of {len(candidates)} links")
+    check_fault_count(
+        n_faults, len(candidates), topo.n_routers, 1 + topo.n_chiplets
+    )
     for _attempt in range(200):
         chosen = set(rng.sample(candidates, n_faults))
         if _layers_connected(topo, chosen):

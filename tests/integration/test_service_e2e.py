@@ -90,6 +90,15 @@ class TestServiceEndToEnd:
             assert events[-1] == "done"
             assert "progress" in events
 
+    def test_threshold_above_the_default_ack_timeout_runs(self, tmp_path):
+        request = {**SWEEP, "rates": [0.02], "warmup": 100, "measure": 300,
+                   "threshold": 1000}
+        with BackgroundService(tmp_path / "queue") as svc:
+            client = ServiceClient(port=svc.port)
+            done = client.wait(client.submit_sweep(**request)["id"])
+            assert done["state"] == "done", done
+            assert done["metrics"]["executed"] == 1
+
     def test_bad_request_is_a_400_with_actionable_error(self, tmp_path):
         with BackgroundService(tmp_path / "queue") as svc:
             client = ServiceClient(port=svc.port)

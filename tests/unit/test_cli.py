@@ -137,6 +137,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "saturation throughput" in out
 
+    def test_sweep_at_a_threshold_above_the_default_ack_timeout(self, capsys):
+        argv = ["sweep", "--threshold", "1000", "--rates", "0.02",
+                "--warmup", "100", "--measure", "300"]
+        assert main(argv) == 0
+        assert "saturation throughput" in capsys.readouterr().out
+
     def test_sweep_cold_then_warm_cache(self, capsys, tmp_path):
         argv = ["sweep", "--rates", "0.02", "--warmup", "200", "--measure", "600",
                 "--cache-dir", str(tmp_path)]

@@ -7,6 +7,7 @@ The oracle throughout is the per-chiplet search itself:
 distinct chiplet once and translated the design to its siblings.
 """
 
+import hashlib
 import random
 from collections import deque
 from types import SimpleNamespace
@@ -157,6 +158,55 @@ class TestTranslationEquivalence:
             "turn_restrictions": restrictions,
             "design_evaluations": evaluations,
         }
+
+
+def design_digest(topology):
+    """sha256 prefix of every chiplet design's restrictions, exit and
+    entry selections (in dict order) and next hop for every (router,
+    in_port, destination) in its chiplet, ``None`` where unroutable."""
+    topo = get_topology(topology)()
+    scheme = ComposableRoutingScheme()
+    scheme.build_routing(topo, NocConfig(), random.Random(0))
+    digest = hashlib.sha256()
+    for chiplet, design in sorted(scheme.designs.items()):
+        restrictions = sorted((r, i.name, o.name) for r, i, o in design.restrictions)
+        hops = []
+        members = topo.chiplet_routers(chiplet)
+        for rid in members:
+            for in_port in Port:
+                for dst in members:
+                    try:
+                        hops.append(design.table.next_port(rid, in_port, dst).name)
+                    except ValueError:
+                        hops.append(None)
+        for part in (
+            restrictions,
+            list(design.exit_sel.items()),
+            list(design.entry_sel.items()),
+            hops,
+        ):
+            digest.update(repr(part).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestDesignsArePinned:
+    """The designs the search produced when every candidate table
+    resolved all of its own next hops."""
+
+    @pytest.mark.parametrize(
+        "topology, expected",
+        [
+            ("baseline", "ffbe455d85a52202"),
+            ("large", "3f073b1069c703f8"),
+            ("mc-2x1", "2053a8c8f6f692ac"),
+            ("mc-2x2", "dae1a28a762fc7dc"),
+            ({"boundary_per_chiplet": 2}, "b7290a072f953e47"),
+            ({"boundary_per_chiplet": 8}, "a0fd4a9e39aa9f04"),
+        ],
+        ids=["baseline", "large", "mc-2x1", "mc-2x2", "boundary2", "boundary8"],
+    )
+    def test_design_digest(self, topology, expected):
+        assert design_digest(topology) == expected
 
 
 class TestDistinctChipletsAreNeverShared:

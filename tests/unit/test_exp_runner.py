@@ -8,12 +8,17 @@ already-imported module; they are skipped where fork is unavailable.
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.exp.cache import ResultCache
 from repro.exp.runner import ExperimentRunner, WorkerCrashError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -148,6 +153,29 @@ class TestParallel:
         with pytest.raises(ValueError, match="bad spec"):
             runner.run(specs(2))
         assert runner.stats.retried == 0
+
+    def test_workers_inherit_the_engine(self):
+        """A forked worker finds the per-cycle engine already imported
+        when its first spec starts (a fresh interpreter, so nothing else
+        has imported it)."""
+        probe = textwrap.dedent(
+            """
+            import sys
+            from repro.exp.runner import ExperimentRunner
+
+            def loaded(spec):
+                return {"engine": "repro.noc.vector" in sys.modules}
+
+            if __name__ == "__main__":
+                assert "repro.noc.vector" not in sys.modules
+                runner = ExperimentRunner(jobs=2, execute=loaded, mp_context="fork")
+                results = runner.run([{"i": 0}, {"i": 1}])
+                sys.exit(0 if all(r["engine"] for r in results) else 1)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
+        assert done.returncode == 0
 
 
 class TestDefaultRunner:

@@ -306,6 +306,27 @@ class TestValidateJob:
         )
         assert validate_job(spec) == spec
 
+    @pytest.mark.parametrize("topology, field", [
+        ({"chiplet_grid": [3, 3]}, "chiplet_grid"),
+        ({"interposer_shape": [4, 6], "chiplet_grid": [2, 4]}, "chiplet_grid"),
+        ({"faults": 1000}, "faults"),
+        ({"faults": 46}, "faults"),  # each 4x4 layer can lose at most 9
+    ])
+    def test_topology_that_cannot_build_names_the_field(self, topology, field):
+        spec = sweep_point_spec(
+            topology, NocConfig(), "upp", "uniform_random", 0.05, 200, 600
+        )
+        with pytest.raises(JobSchemaError, match=rf"'topology\.{field}' .* cannot build"):
+            validate_job(spec)
+        with pytest.raises(JobSchemaError, match=rf"'topology\.{field}'"):
+            execute_spec(spec)
+
+    def test_most_faults_the_layers_can_lose_pass(self):
+        spec = sweep_point_spec(
+            {"faults": 45}, NocConfig(), "upp", "uniform_random", 0.05, 200, 600
+        )
+        assert validate_job(spec) == spec
+
     def test_bool_does_not_pass_as_integer(self):
         with pytest.raises(JobSchemaError, match="'warmup'"):
             validate_job(sweep_spec(warmup=True))

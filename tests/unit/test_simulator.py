@@ -34,6 +34,17 @@ class TestPresets:
             "upp_detection_threshold"
         ]
 
+    @pytest.mark.parametrize("threshold", [None, 1, 20, 100, 399])
+    def test_thresholds_below_the_ack_timeout_keep_it(self, threshold):
+        """So no existing spec, cache key or digest moves."""
+        assert table2_upp_config(threshold).ack_timeout == 400
+
+    @pytest.mark.parametrize("threshold", [400, 1000])
+    def test_load_preset_accepts_any_positive_threshold(self, threshold):
+        upp_cfg = api.load_preset("baseline", threshold=threshold).upp_config
+        assert upp_cfg.detection_threshold == threshold
+        assert upp_cfg.ack_timeout > threshold
+
 
 class TestSchemeFactory:
     @pytest.mark.parametrize(

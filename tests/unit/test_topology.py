@@ -1,5 +1,7 @@
 """Unit tests for chiplet-system topology construction."""
 
+import random
+
 import pytest
 
 from repro.noc.flit import Port
@@ -8,7 +10,9 @@ from repro.topology.chiplet import (
     build_system,
     large_system,
     star_system,
+    system_size,
 )
+from repro.topology.faults import check_fault_count, inject_faults
 from repro.topology.mesh import boundary_positions, coord_of, index_of, xy_next_port
 
 
@@ -104,6 +108,33 @@ class TestBoundaryVariants:
     def test_uneven_grid_rejected(self):
         with pytest.raises(ValueError):
             build_system(interposer_shape=(4, 4), chiplet_grid=(3, 2))
+
+
+class TestBuildChecksWithoutBuilding:
+    """What job validation learns of a system without building it."""
+
+    @pytest.mark.parametrize("args", [
+        {},
+        {"interposer_shape": (4, 8), "chiplet_grid": (2, 4)},
+        {"interposer_shape": (2, 2), "chiplet_shape": (3, 2), "chiplet_grid": (1, 2),
+         "boundary_coords": [(0, 0), (2, 1)]},
+        {"interposer_shape": (4, 4), "chiplet_grid": (1, 1)},
+    ])
+    def test_system_size_counts_what_build_system_builds(self, args):
+        topo = build_system(**args)
+        shapes = {"interposer_shape": (4, 4), "chiplet_shape": (4, 4),
+                  "chiplet_grid": (2, 2), **args}
+        shapes.pop("boundary_coords", None)
+        assert system_size(**shapes) == (
+            len(topo.mesh_link_pairs()), topo.n_routers, 1 + topo.n_chiplets
+        )
+
+    def test_fault_count_limit(self):
+        # five 4x4 layers: 120 link pairs, each layer keeps a 15-link tree
+        check_fault_count(45, 120, 80, 5)
+        for n_faults in (46, 1000):
+            with pytest.raises(ValueError, match=f"cannot fail {n_faults} of 120"):
+                inject_faults(baseline_system(), n_faults, random.Random(0))
 
 
 class TestStarSystem:
