@@ -25,7 +25,12 @@ from __future__ import annotations
 import difflib
 from typing import Dict, Mapping, Tuple
 
-from repro.topology.chiplet import check_chiplet_grid, system_size
+from repro.topology.chiplet import (
+    TopologyParamError,
+    check_boundary_placement,
+    check_chiplet_grid,
+    system_size,
+)
 from repro.topology.faults import check_fault_count
 
 #: the wire-schema tag every job spec must carry.
@@ -163,6 +168,19 @@ def _validate_buildable(topology: Mapping) -> None:
             f"cannot build: {exc} (interposer_shape "
             f"{topology['interposer_shape']!r})"
         ) from None
+    try:
+        check_boundary_placement(
+            topology["interposer_shape"],
+            topology["chiplet_shape"],
+            topology["chiplet_grid"],
+            topology["boundary_per_chiplet"],
+            topology["boundary_coords"],
+        )
+    except TopologyParamError as exc:
+        raise JobSchemaError(
+            f"job field 'topology.{exc.param}' {topology[exc.param]!r} "
+            f"cannot build: {exc}"
+        ) from None
     if topology["faults"]:
         size = system_size(
             topology["interposer_shape"],
@@ -188,8 +206,9 @@ def validate_job(spec: Mapping) -> Dict[str, object]:
     :data:`_TOPOLOGY_FIELDS`, :data:`_PROFILE_FIELDS`): a sweep point's
     ``rate`` outside the traffic generator's range [0, 1], a cycle window
     the service would reject, a profile that never issues, a chiplet grid
-    that does not tile the interposer or more faults than the layers can
-    lose and stay connected.
+    that does not tile the interposer, boundary routers ``build_system``
+    cannot place or more faults than the layers can lose and stay
+    connected.
     """
     if not isinstance(spec, Mapping):
         raise JobSchemaError(

@@ -64,8 +64,8 @@ class NocConfig:
     #: periodic deep sweep (it still runs at drain and reconfiguration).
     sanitize_interval: int = 256
     #: per-cycle evaluation engine: ``"vector"`` (the production engine:
-    #: numpy scans over head eligibility / link timers driving the
-    #: active router set) or ``"legacy"`` (the scalar reference sweep,
+    #: a numpy scan over head eligibility and a link delivery calendar
+    #: driving the active router set) or ``"legacy"`` (the scalar reference sweep,
     #: visiting every component every cycle).  The two are bit-identical
     #: — the determinism suite proves it — so the choice is excluded
     #: from :meth:`fingerprint`.

@@ -6,9 +6,9 @@ network at the start of each cycle, which keeps router evaluation
 order-independent: everything a router sends during cycle *t* becomes
 visible to its neighbour no earlier than cycle *t + latency*.
 
-Under the vector engine each send also lowers the link's slot in the
-engine's delivery-due array, so the delivery phase touches only links
-with a payload due.
+Under the vector engine each send also files the link in the engine's
+delivery calendar under the payload's due cycle, so the delivery phase
+touches only links with a payload due.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Link:
         "kind",
         "_order",
         "_vec_due",
-        "_vec_min",
         "_batch_ok",
         "_dst_vcs",
         "_dst_iport",
@@ -84,13 +83,10 @@ class Link:
         self.kind = Link.ROUTER
         #: position in the network's delivery order (full-sweep order).
         self._order = 0
-        #: vector-engine next-delivery array indexed by ``_order`` (the
-        #: engine finds due links with one numpy compare instead of a
-        #: busy-set sweep); None outside a vector network.
+        #: vector-engine delivery calendar: due cycle -> ``_order`` of
+        #: every link with a payload due then (the engine visits only
+        #: the current cycle's bucket); None outside a vector network.
         self._vec_due = None
-        #: 1-element global minimum of ``_vec_due`` across all links (the
-        #: engine's delivery-phase early-out); None outside a vector net.
-        self._vec_min = None
         #: True when the engine may drain this link with the batched
         #: delivery path (router-to-router, neither endpoint pinned
         #: scalar); set by the engine at construction/adoption time.
@@ -120,13 +116,13 @@ class Link:
         due = cycle + self.latency
         self._flits.append((due, flit, out_vc))
         self.flits_carried += 1
-        vec = self._vec_due
-        if vec is not None:
-            if due < vec[self._order]:
-                vec[self._order] = due
-            box = self._vec_min
-            if due < box[0]:
-                box[0] = due
+        calendar = self._vec_due
+        if calendar is not None:
+            bucket = calendar.get(due)
+            if bucket is None:
+                calendar[due] = [self._order]
+            else:
+                bucket.append(self._order)
         if flit.is_signal and self._sched is not None:
             self._sched.note_signal_entered_link()
 
@@ -135,13 +131,13 @@ class Link:
         """Send a credit upstream (same latency as the data path)."""
         due = cycle + self.latency
         self._credits.append((due, credit))
-        vec = self._vec_due
-        if vec is not None:
-            if due < vec[self._order]:
-                vec[self._order] = due
-            box = self._vec_min
-            if due < box[0]:
-                box[0] = due
+        calendar = self._vec_due
+        if calendar is not None:
+            bucket = calendar.get(due)
+            if bucket is None:
+                calendar[due] = [self._order]
+            else:
+                bucket.append(self._order)
 
     @property
     def in_flight(self) -> int:

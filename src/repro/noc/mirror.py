@@ -1,10 +1,10 @@
 """The ``@mirror_hook`` marker for vector-mirror write-through sites.
 
 The vector datapath (:mod:`repro.noc.vector`) keeps numpy mirrors of a
-small set of scalar attributes — VC head eligibility and popup tags,
-link delivery timestamps — and parks blocked heads until an event that
-could unblock them fires.  Correctness of the engine's two scans rests
-on one invariant: **every** mutation of a mirrored attribute flows
+small set of scalar attributes — VC head eligibility and popup tags —
+and a calendar of link delivery cycles, and parks blocked heads until an
+event that could unblock them fires.  Correctness of the engine's scans
+rests on one invariant: **every** mutation of a mirrored attribute flows
 through a write-through hook that updates the object attribute and the
 engine state together (the property setters and mutator methods in
 :mod:`repro.noc.buffer`, :mod:`repro.noc.link` and the network's link
@@ -47,7 +47,7 @@ MIRRORED_ATTRS = frozenset(
         # re-arms parked cells) + engine bindings
         "credits", "vc_busy", "_orow", "_aunpark",
         # Link delivery queues + engine bindings
-        "_flits", "_credits", "_vec_due", "_vec_min",
+        "_flits", "_credits", "_vec_due",
         # Link batch-delivery bindings
         "_batch_ok", "_dst_vcs", "_dst_iport",
         "_dst_router", "_src_router", "_src_oport",

@@ -3,10 +3,11 @@
 The scalar core spends its saturated-load cycles scanning Python objects:
 every awake router walks its input VCs, re-derives head eligibility and
 only then discovers that most heads cannot move.  This engine keeps just
-the state that *finds* work — head SA-eligibility, the popup tag, the
-blocked-candidate parking flag and link delivery timers — in
-preallocated numpy arrays indexed by ``(router, port, vc)`` and by link,
-so each cycle starts with two numpy scans instead of an object walk.
+the state that *finds* work — head SA-eligibility, the popup tag and
+the blocked-candidate parking flag — in preallocated numpy arrays
+indexed by ``(router, port, vc)``, and the links with a payload due in a
+calendar keyed by cycle, so each cycle starts with one calendar lookup
+and one numpy scan instead of an object walk.
 
 Array layout (built once from the topology at :class:`~repro.noc.network.
 Network` construction):
@@ -18,15 +19,16 @@ Network` construction):
 * one **cell** per ``(row, vc)``: ``head_due`` (arrival +
   SA-eligibility delay, ``_NEVER`` when empty), the ``tagged`` popup
   flag and the ``parked`` blocked-verdict flag — the candidate scan;
-* one **slot** per link holding its earliest pending delivery cycle
-  (``link_due``, with its global minimum in ``due_box``) — the delivery
-  scan.
+* a **delivery calendar**: a dict from cycle to the ``_order`` of every
+  link with a payload due in that cycle, filled by each send — the
+  delivery phase visits one bucket instead of scanning every link.
 
 Flit objects in the per-VC and per-link deques, routes, output VCs and
 the output ports' credit / allocation lists are the only copies of that
 state; every verdict reads them directly.  The per-cycle evaluation is:
 
-1. deliver every link whose due-cycle has arrived: batch-eligible links
+1. deliver every link in the current cycle's calendar bucket (in
+   ascending ``_order``, the full sweep's order): batch-eligible links
    drain straight into the destination VC deques (setting the head
    eligibility of VCs that were empty and re-arming cells parked on
    output rows that received credits); signals, popup flits and links
@@ -226,20 +228,16 @@ class VectorEngine:
         self._parked_by_orow = [[] for _ in orows]
 
     def _build_links(self, net) -> None:
-        np = _np
         links = sorted(net.links, key=lambda lk: lk._order)
         self.links_by_order = links
-        self.link_due = np.full(len(links), _NEVER, np.int64)
-        #: 1-element global minimum of ``link_due`` — lets an idle
-        #: delivery phase exit on a single compare.
-        self.due_box = np.full(1, _NEVER, np.int64)
+        #: due cycle -> ``_order`` of each link with a payload due then
+        #: (one entry per send; duplicates are dropped at delivery).
+        self.calendar: Dict[int, List[int]] = {}
         routers = net.routers
         for link in links:
-            link._vec_due = self.link_due
-            link._vec_min = self.due_box
-            dues = [t[0] for t in link._flits] + [t[0] for t in link._credits]
-            if dues:
-                self.link_due[link._order] = min(dues)
+            link._vec_due = self.calendar
+            for item in (*link._flits, *link._credits):
+                self.calendar.setdefault(item[0], []).append(link._order)
             kind = link.kind
             if kind == Link.ROUTER:
                 dst_r = routers[link.dst]
@@ -272,8 +270,6 @@ class VectorEngine:
                 link._src_router = src_r
                 link._src_oport = src_r.out_ports[link.src_port]
                 link._batch_ok = True
-        if len(links):
-            self.due_box[0] = self.link_due.min()
 
     def resync_router(self, r) -> None:
         """Re-derive one router's array state from its objects.
@@ -342,10 +338,10 @@ class VectorEngine:
         Used by the invariant sanitizer's deep sweep: the write-through
         hooks are only correct if they cover *every* mutation site, so
         this re-derives the expected array state (``head_due``,
-        ``tagged``, ``link_due`` / ``due_box``) from the object state,
-        checks that every parked head is still blocked on its output
-        port's credit lists, and reports any divergence (empty list =
-        coherent)."""
+        ``tagged``) from the object state, checks that every parked head
+        is still blocked on its output port's credit lists and that every
+        pending link payload has its due cycle in the delivery calendar,
+        and reports any divergence (empty list = coherent)."""
         problems: List[str] = []
         vmax = self.vmax
         for row, iport in enumerate(self.row_iport):
@@ -390,22 +386,20 @@ class VectorEngine:
                             problems.append(
                                 f"{where}: parked but head is movable"
                             )
+        calendar = {due: set(orders) for due, orders in self.calendar.items()}
         for link in self.links_by_order:
-            dues = [t[0] for t in link._flits] + [t[0] for t in link._credits]
-            due = min(dues) if dues else _NEVER
-            if self.link_due[link._order] > due:
-                # the mirror may under-promise (an early slot that already
-                # drained is re-derived lazily) but must never miss a due
-                # payload
-                problems.append(
-                    f"link {link.src}->{link.dst}: due mirror "
-                    f"{self.link_due[link._order]} past earliest {due}"
-                )
-            if self.due_box[0] > due:
-                problems.append(
-                    f"link {link.src}->{link.dst}: global due box "
-                    f"{int(self.due_box[0])} past earliest {due}"
-                )
+            for queue in (link._flits, link._credits):
+                # a payload queued behind one due no earlier leaves with
+                # it; every other payload needs its own calendar entry
+                latest = float("-inf")
+                for item in queue:
+                    if item[0] > latest:
+                        latest = item[0]
+                        if link._order not in calendar.get(latest, ()):
+                            problems.append(
+                                f"link {link.src}->{link.dst}: payload due "
+                                f"at {latest} missing from the calendar"
+                            )
         return problems
 
     def adopt_scheme_state(self) -> None:
@@ -448,7 +442,8 @@ class VectorEngine:
     # per-cycle phases (called by Network._step_vector)
 
     def deliver(self, cycle: int) -> None:
-        """Drain every link whose earliest payload is due.
+        """Drain every link in this cycle's calendar bucket, in ascending
+        ``_order`` (the full sweep's order).
 
         Batch-eligible router links (no pinned-scalar endpoint) drain
         inline: flit objects are appended to the destination VC deques
@@ -458,16 +453,18 @@ class VectorEngine:
         that output row.  Signals and popup flits keep the scalar
         receive path (their side effects are scheme state), as do NI
         links and pinned routers via the scalar
-        :meth:`Network._deliver_one`."""
-        np = _np
-        if self.due_box[0] > cycle:
+        :meth:`Network._deliver_one`.  A bucket may name a link whose
+        payload already left with an earlier one; its visit drains
+        nothing."""
+        calendar = self.calendar
+        orders = calendar.pop(cycle, None)
+        if calendar and min(calendar) < cycle:
+            # payloads sent with a due cycle already passed (planted by a
+            # test or diagnostic) leave at the next delivery phase
+            for due in [due for due in calendar if due < cycle]:
+                orders = calendar.pop(due) + (orders or [])
+        if orders is None:
             self._delivered = False
-            return
-        due = self.link_due
-        ready = np.nonzero(due <= cycle)[0]
-        if not len(ready):  # pragma: no cover - box never over-promises
-            self._delivered = False
-            self.due_box[0] = due.min() if len(due) else _NEVER
             return
         self._delivered = True
         links = self.links_by_order
@@ -478,7 +475,7 @@ class VectorEngine:
         by_orow = self._parked_by_orow
         nact = 0  # delivered flits (network activity), all batched links
         ntrav = 0  # router-to-router subset (link_traversals)
-        for order in ready.tolist():
+        for order in sorted(set(orders)):
             link = links[order]
             if not link._batch_ok:
                 # pinned-scalar endpoint: full legacy dispatch
@@ -580,17 +577,10 @@ class VectorEngine:
                         cells = by_orow[oport._orow]
                         if cells:
                             self._unpark_cells(cells)
-            flits = link._flits
-            credits = link._credits
-            next_due = flits[0][0] if flits else _NEVER
-            if credits and credits[0][0] < next_due:
-                next_due = credits[0][0]
-            due[order] = next_due
         if nact:
             net.activity += nact
             net.link_traversals += ntrav
             self.batched_deliveries += nact
-        self.due_box[0] = due.min() if len(due) else _NEVER
 
     def switch_phase(self, cycle: int) -> None:
         """Switch allocation for the whole network (see module docstring)."""
@@ -824,19 +814,26 @@ class VectorEngine:
                 vc.out_port = op = row_router[row].route(
                     row_port[row], flit.packet.dst, flit.packet.src
                 )
-            opi = int(op)
-            orow = outrow_flat[cell_rbase_l[cell] + opi]
+            orow = outrow_flat[cell_rbase_l[cell] + op]
             oport = orow_oport[orow]
             ovc = vc.out_vc
             if ovc >= 0:
                 blocked = oport.credits[ovc] <= 0
             else:
+                # blocked unless some output VC of the vnet is idle
+                # downstream with room (``free_vcs`` without its list)
                 need = vc.queue[0].packet.size if vct_cell_l[cell] else 1
-                blocked = not oport.free_vcs(vc.vnet, need)
+                ocr, obusy = oport.credits, oport.vc_busy
+                base = vc.vnet * oport.vcs_per_vnet
+                blocked = True
+                for k in range(base, base + oport.vcs_per_vnet):
+                    if not obusy[k] and ocr[k] >= need:
+                        blocked = False
+                        break
             if blocked:
                 parked[cell] = True
                 by_orow[orow].append(cell)
-                if upp_any and (opi == _UP or opi == _UP2):
+                if upp_any and (op == _UP or op == _UP2):
                     r = row_router[cell // vmax]
                     if r.upp is not None:
                         v = vc.vnet
@@ -845,25 +842,30 @@ class VectorEngine:
                         stall_parked[cell] = (r, v)
             else:
                 reqcells.append(cell)
-                req_ops.append(opi)
+                req_ops.append(op)
                 req_ovcs.append(ovc)
         i, n = 0, len(reqcells)
         while i < n:
-            base = reqcells[i] - (reqcells[i] % vmax)
+            first = reqcells[i]
+            row = first // vmax
+            base = row * vmax
             limit = base + vmax
             j = i + 1
             while j < n and reqcells[j] < limit:
                 j += 1
-            row = base // vmax
             r = row_router[row]
             r.energy.sa_arbitrations += 1
-            granted = r._in_arbiters[row_port[row]].grant_from(
-                [c - base for c in reqcells[i:j]]
-            )
-            gcell = base + granted
-            pos = reqcells.index(gcell, i, j)
+            arbiter = r._in_arbiters[row_port[row]]
+            if j == i + 1:
+                # sole requester: it wins, and the pointer moves past it
+                # exactly as ``grant_from([first - base])`` would move it
+                pos = i
+                arbiter._pointer = (first - base + 1) % arbiter.n
+            else:
+                granted = arbiter.grant_from([c - base for c in reqcells[i:j]])
+                pos = reqcells.index(base + granted, i, j)
             grants_by_rid.setdefault(r.rid, []).append(
-                (row, gcell, req_ops[pos], req_ovcs[pos])
+                (row, reqcells[pos], req_ops[pos], req_ovcs[pos])
             )
             i = j
 
@@ -946,7 +948,7 @@ class VectorEngine:
         Per winner the object side is updated with plain list/deque
         operations (pop, credit decrement, link append, upstream credit
         message) and the cell's ``head_due`` / ``tagged`` and the links'
-        ``link_due`` slots are stored directly.  Deferring the winners
+        calendar entries are stored directly.  Deferring the winners
         out of the per-router loop is safe because a traversal only
         mutates the traversing router's own state and its outgoing
         links — state no other router reads within the same cycle."""
@@ -960,10 +962,9 @@ class VectorEngine:
         orow_link = self.orow_link
         head_due = self.head_due
         tagged = self.tagged
-        link_due = self.link_due
+        calendar = self.calendar
         flagged = self._flags_dirty
         self.batched_flits += len(cells)
-        box_min = _NEVER
         for cell, op, ovc in zip(cells, ops, ovcs):
             vc = cell_vc[cell]
             queue = vc.queue
@@ -981,10 +982,11 @@ class VectorEngine:
             due = cycle + 1 + link.latency
             link._flits.append((due, flit, ovc))
             link.flits_carried += 1
-            if due < link_due[link._order]:
-                link_due[link._order] = due
-            if due < box_min:
-                box_min = due
+            bucket = calendar.get(due)
+            if bucket is None:
+                calendar[due] = [link._order]
+            else:
+                bucket.append(link._order)
             packet = flit.packet
             if flit.seq == 0:
                 packet.hops += 1
@@ -1006,9 +1008,8 @@ class VectorEngine:
             if inlink is not None:
                 cdue = cycle + inlink.latency
                 inlink._credits.append((cdue, Credit(vc.vc_index, is_tail)))
-                if cdue < link_due[inlink._order]:
-                    link_due[inlink._order] = cdue
-                if cdue < box_min:
-                    box_min = cdue
-        if box_min < self.due_box[0]:
-            self.due_box[0] = box_min
+                bucket = calendar.get(cdue)
+                if bucket is None:
+                    calendar[cdue] = [inlink._order]
+                else:
+                    bucket.append(inlink._order)

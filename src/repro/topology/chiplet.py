@@ -187,6 +187,55 @@ def check_chiplet_grid(
         raise ValueError("chiplet grid must evenly tile the interposer")
 
 
+class TopologyParamError(ValueError):
+    """A :func:`build_system` argument that cannot build; ``param`` names
+    the argument at fault."""
+
+    def __init__(self, param: str, message: str) -> None:
+        super().__init__(message)
+        self.param = param
+
+
+def check_boundary_placement(
+    interposer_shape: Tuple[int, int],
+    chiplet_shape: Tuple[int, int],
+    chiplet_grid: Tuple[int, int],
+    boundary_per_chiplet: int,
+    boundary_coords: Optional[Sequence[Coord]],
+) -> List[Coord]:
+    """The boundary coordinates ``build_system`` places on each chiplet,
+    checked without building (``build_system``'s own check, also run on
+    job specs after :func:`check_chiplet_grid`); raises
+    :class:`TopologyParamError`."""
+    crows, ccols = chiplet_shape
+    if boundary_coords is not None:
+        param = "boundary_coords"
+    elif (crows, ccols) == (4, 4):
+        param = "boundary_per_chiplet"
+    else:  # canonical placements exist only for 4x4 chiplets
+        param = "chiplet_shape"
+    footprint = (interposer_shape[0] // chiplet_grid[0]) * (
+        interposer_shape[1] // chiplet_grid[1]
+    )
+    try:
+        if boundary_coords is None:
+            coords = boundary_positions(crows, ccols, boundary_per_chiplet)
+        else:
+            coords = [tuple(coord) for coord in boundary_coords]
+            _reject_duplicates(coords)
+            if not all(0 <= r < crows and 0 <= c < ccols for r, c in coords):
+                raise ValueError(
+                    f"boundary coordinates outside a {crows}x{ccols} chiplet"
+                )
+        if len(coords) > 2 * footprint:
+            raise ValueError(
+                "at most two vertical links per interposer router are supported"
+            )
+    except ValueError as exc:
+        raise TopologyParamError(param, str(exc)) from None
+    return coords
+
+
 def system_size(
     interposer_shape: Tuple[int, int],
     chiplet_shape: Tuple[int, int],
@@ -268,16 +317,10 @@ def build_system(
             )
 
     # vertical links
-    if boundary_coords is None:
-        boundary_coords = boundary_positions(crows, ccols, boundary_per_chiplet)
-    _reject_duplicates(boundary_coords)
-    if not all(0 <= r < crows and 0 <= c < ccols for r, c in boundary_coords):
-        raise ValueError(f"boundary coordinates outside a {crows}x{ccols} chiplet")
-    per_footprint = len(boundary_coords) / (frows * fcols)
-    if per_footprint > 2:
-        raise ValueError(
-            "at most two vertical links per interposer router are supported"
-        )
+    boundary_coords = check_boundary_placement(
+        interposer_shape, chiplet_shape, chiplet_grid,
+        boundary_per_chiplet, boundary_coords,
+    )
     for chip in range(n_chiplets):
         origin = topo.chiplet_origins[chip]
         footprint = [

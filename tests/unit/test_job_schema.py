@@ -311,6 +311,11 @@ class TestValidateJob:
         ({"interposer_shape": [4, 6], "chiplet_grid": [2, 4]}, "chiplet_grid"),
         ({"faults": 1000}, "faults"),
         ({"faults": 46}, "faults"),  # each 4x4 layer can lose at most 9
+        ({"boundary_per_chiplet": 3}, "boundary_per_chiplet"),
+        ({"chiplet_shape": [3, 3]}, "chiplet_shape"),  # no canonical placement
+        ({"boundary_coords": [[5, 5]]}, "boundary_coords"),
+        ({"boundary_coords": [[0, 1], [0, 1]]}, "boundary_coords"),
+        ({"interposer_shape": [2, 2], "boundary_per_chiplet": 8}, "boundary_per_chiplet"),
     ])
     def test_topology_that_cannot_build_names_the_field(self, topology, field):
         spec = sweep_point_spec(

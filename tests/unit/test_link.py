@@ -88,3 +88,57 @@ class TestNetworkDelivery:
             assert out.credits[0] == depth - 1
         net.step()
         assert out.credits[0] == depth and link.idle
+
+    def test_payload_already_due_leaves_at_next_delivery(self, datapath):
+        """A payload sent with a due cycle that has already passed (state
+        planted by a test or diagnostic) is delivered by the next delivery
+        phase, not stranded."""
+        net, link = two_cycle_link(datapath)
+        net.run(5)
+        f = flit(link.src, link.dst)
+        out = net.routers[link.src].out_ports[link.src_port]
+        depth = out.credits[0]
+        out.consume_credit(0)
+        link.send_flit(f, 0, net.cycle - 4)
+        link.send_credit(Credit(0, False), net.cycle - 3)
+        net.step()
+        vc = net.routers[link.dst].in_ports[link.dst_port].vcs[0]
+        assert vc.front() is f and out.credits[0] == depth and link.idle
+
+    def test_delivery_at_exactly_send_cycle_plus_latency(self, datapath):
+        net, link = two_cycle_link(datapath)
+        net.run(3)
+        sent = net.cycle
+        f = flit(link.src, link.dst)
+        link.send_flit(f, 0, sent)
+        if datapath == "vector":
+            assert net.vector.calendar[sent + link.latency] == [link._order]
+        vc = net.routers[link.dst].in_ports[link.dst_port].vcs[0]
+        while vc.front() is None:
+            net.step()
+        assert f.arrival_cycle == sent + link.latency == net.cycle - 1
+
+    def test_links_sharing_a_due_cycle_deliver_in_link_order(self, datapath):
+        """Links due in the same cycle are drained in ascending ``_order``
+        (the full sweep's order), whatever order they were sent in."""
+        net, _ = two_cycle_link(datapath)
+        links = net._ni_down_links[:3]
+        assert [link._order for link in links] == sorted(lk._order for lk in links)
+        received = []
+        for link in links:
+            ni = net.nis[link.dst]
+            ni.receive_flit = (
+                lambda f, vc, cycle, ni=ni, deliver=ni.receive_flit:
+                received.append(ni.node) or deliver(f, vc, cycle)
+            )
+        for link in reversed(links):
+            link.send_flit(flit(link.dst + 1, link.dst), 0, net.cycle)
+        # a credit due in the same cycle queues the middle link twice
+        middle = links[1]
+        out = net.routers[middle.src].out_ports[Port.LOCAL]
+        depth = out.credits[0]
+        out.consume_credit(0)
+        middle.send_credit(Credit(0, False), net.cycle)
+        net.run(middle.latency + 1)
+        assert received == [link.dst for link in links]
+        assert out.credits[0] == depth

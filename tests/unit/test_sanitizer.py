@@ -173,6 +173,19 @@ class TestViolationsFire:
         with pytest.raises(InvariantViolation, match="vector mirror"):
             net.sanitizer.check_all()
 
+    def test_pending_payload_missing_from_delivery_calendar(self):
+        net = sanitized_net(datapath="vector")
+        install_synthetic_traffic(net, "uniform_random", 0.2)
+        net.run(150)
+        vec = net.vector
+        pending = [lk for lk in vec.links_by_order if lk._flits or lk._credits]
+        assert pending and vec.verify_mirrors() == []
+        link = pending[0]
+        due = (link._flits or link._credits)[0][0]
+        vec.calendar[due] = [o for o in vec.calendar[due] if o != link._order]
+        with pytest.raises(InvariantViolation, match="missing from the calendar"):
+            net.sanitizer.check_all()
+
     def test_duplicate_reservation_token(self):
         net = sanitized_net()
         net.nis[0].reservations[0] = 41

@@ -95,7 +95,7 @@ R004_MIRRORED_ATTRS = {
     "_out_port", "_popup_tagged",
     "_cell", "_adue", "_atag", "_aeng",
     "credits", "vc_busy", "_orow", "_aunpark",
-    "_flits", "_credits", "_vec_due", "_vec_min",
+    "_flits", "_credits", "_vec_due",
     "_batch_ok", "_dst_vcs", "_dst_iport",
     "_dst_router", "_src_router", "_src_oport",
     "_dst_pt", "_src_ni", "_dst_ni",
