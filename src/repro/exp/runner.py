@@ -7,9 +7,15 @@ It layers four things over a bare loop:
 * **fan-out** — ``jobs > 1`` distributes points over a
   ``concurrent.futures`` process pool (points are embarrassingly
   parallel: every one builds a fresh seeded network, so parallel results
-  are bit-identical to serial by construction).  Before a ``fork`` pool
-  starts, the runner imports the per-cycle engine, so workers inherit it
-  instead of each importing it in its first network build;
+  are bit-identical to serial by construction).  ``jobs > 1`` buys
+  parallelism, not isolation: when exactly one point is left to simulate
+  after the cache lookups, it runs in the calling process, as every
+  point does under ``jobs=1``.  An inline point's reference cycles are
+  reclaimed by a collection that scans only what the point allocated
+  (the caller's heap is frozen around it), unless the caller already
+  holds a frozen generation.  Before a ``fork`` pool starts, the runner
+  imports the per-cycle engine, so workers inherit it instead of each
+  importing it in its first network build;
 * **content-addressed caching** — with a
   :class:`~repro.exp.backends.CacheBackend` attached (sharded-dir
   :class:`~repro.exp.cache.ResultCache`, in-memory, or tiered),
@@ -19,9 +25,13 @@ It layers four things over a bare loop:
   skips every completed point and continues where it died;
 * **retry on worker crash** — a worker process dying (OOM kill, signal)
   breaks the pool; affected points are resubmitted to a fresh pool up to
-  ``retries`` times.  Deterministic task exceptions (a workload timeout,
-  a :class:`DeadlockError`) are *not* retried — rerunning a
-  deterministic failure can only waste CPU — and propagate to the caller;
+  ``retries`` times.  A retry always runs in a pool, even for a lone
+  point, so a point that has crashed a worker never runs in the caller;
+  a point that never reached a pool (``jobs=1``, or the lone point) has
+  no worker to lose and is not retried.  Deterministic task exceptions
+  (a workload timeout, a :class:`DeadlockError`) are *not* retried —
+  rerunning a deterministic failure can only waste CPU — and propagate
+  to the caller;
 * **structured progress** — an optional ``progress(done, total, label,
   source)`` callback fires once per completed point with ``source`` in
   ``{"cache", "run"}``.
@@ -35,6 +45,7 @@ identical series.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -135,6 +146,29 @@ class ExperimentRunner:
         if self.progress is not None:
             self.progress(done, total, spec_summary(spec), source)
 
+    def _record_run(self, key, spec, result, done: int, total: int) -> None:
+        self.stats.executed += 1
+        self._store(key, spec, result)
+        self._report(done, total, spec, "run")
+
+    def _execute_inline(self, spec: Mapping) -> Dict[str, object]:
+        """Run one point in the calling process.  A finished network
+        leaves thousands of objects in reference cycles; freezing the
+        caller's heap first makes the collection afterwards scan only
+        what the point allocated.  A caller that froze its own heap
+        keeps its GC as it set it.  Threads running points at once (the
+        service's workers) share the one GC: the first to find it
+        unfrozen freezes it, and a race only changes which collection
+        reclaims a point, never a result."""
+        if gc.get_freeze_count() > 0:
+            return self.execute(spec)
+        gc.freeze()
+        try:
+            return self.execute(spec)
+        finally:
+            gc.collect()
+            gc.unfreeze()
+
     def _run_serial(self, specs, keys, stop_after) -> List[Dict[str, object]]:
         results: List[Dict[str, object]] = []
         total = len(specs)
@@ -144,10 +178,8 @@ class ExperimentRunner:
                 self.stats.cached += 1
                 self._report(index + 1, total, spec, "cache")
             else:
-                result = self.execute(spec)
-                self.stats.executed += 1
-                self._store(key, spec, result)
-                self._report(index + 1, total, spec, "run")
+                result = self._execute_inline(spec)
+                self._record_run(key, spec, result, index + 1, total)
             results.append(result)
             if stop_after is not None and stop_after(result):
                 self.stats.skipped += total - index - 1
@@ -166,6 +198,15 @@ class ExperimentRunner:
                 self._report(len(results), total, specs[index], "cache")
             else:
                 pending.append(index)
+        if len(pending) == 1:
+            # one point cannot run in parallel: a pool would only add
+            # its fork and pickling
+            (index,) = pending
+            pending = []
+            results[index] = self._execute_inline(specs[index])
+            self._record_run(
+                keys[index], specs[index], results[index], len(results), total
+            )
         attempts = {index: 0 for index in pending}
         while pending:
             pending = self._parallel_round(
@@ -189,33 +230,44 @@ class ExperimentRunner:
             # imported once here, every forked worker inherits them
             import repro.noc.vector  # noqa: F401
         retry: List[int] = []
+
+        def broken(index: int) -> None:
+            attempts[index] += 1
+            if attempts[index] > self.retries:
+                raise WorkerCrashError(
+                    f"point {index} "
+                    f"({spec_summary(specs[index])}) crashed its "
+                    f"worker {attempts[index]} time(s); giving up"
+                ) from None
+            self.stats.retried += 1
+            retry.append(index)
+
         executor = ProcessPoolExecutor(
             max_workers=min(self.jobs, len(pending)), mp_context=ctx
         )
         try:
-            futures = {
-                executor.submit(self.execute, specs[index]): index
-                for index in pending
-            }
+            futures = {}
+            unsent: List[int] = []
+            for index in pending:
+                try:
+                    futures[executor.submit(self.execute, specs[index])] = index
+                except BrokenProcessPool:
+                    # a worker died before this point was handed over; it
+                    # shares the broken pool's fate like a queued point
+                    unsent.append(index)
             for future in as_completed(futures):
                 index = futures[future]
                 try:
                     result = future.result()
                 except BrokenProcessPool:
-                    attempts[index] += 1
-                    if attempts[index] > self.retries:
-                        raise WorkerCrashError(
-                            f"point {index} "
-                            f"({spec_summary(specs[index])}) crashed its "
-                            f"worker {attempts[index]} time(s); giving up"
-                        ) from None
-                    self.stats.retried += 1
-                    retry.append(index)
+                    broken(index)
                     continue
                 results[index] = result
-                self.stats.executed += 1
-                self._store(keys[index], specs[index], result)
-                self._report(len(results), total, specs[index], "run")
+                self._record_run(
+                    keys[index], specs[index], result, len(results), total
+                )
+            for index in unsent:
+                broken(index)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return retry

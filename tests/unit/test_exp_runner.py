@@ -1,16 +1,19 @@
 """Tests for the process-parallel experiment runner: ordering, caching,
-early-stop semantics, progress reporting and crash retry.
+early-stop semantics, progress reporting, crash retry, and the inline
+path a lone point takes (with its young-only collection).
 
 The crash tests inject module-level executor functions (picklable by
 reference) and force the ``fork`` start method so workers inherit this
 already-imported module; they are skipped where fork is unavailable.
 """
 
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,26 @@ def _crash_once(spec):
 
 def _always_crash(spec):
     os._exit(13)
+
+
+def _pid(spec):
+    return {"i": spec["i"], "pid": os.getpid()}
+
+
+def _crash_once_when_signalled(spec):
+    """Point 0 kills its worker once the caller has recorded every other
+    point (so its retry is the only point left), and succeeds after."""
+    crash_dir = Path(spec["crash_dir"])
+    sentinel = crash_dir / "crashed"
+    if spec["i"] == 0 and not sentinel.exists():
+        deadline = time.monotonic() + 30
+        while not (crash_dir / "recorded").exists():
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        sentinel.write_text("crashed")
+        os._exit(13)
+    return _pid(spec)
 
 
 def _fail_deterministically(spec):
@@ -139,12 +162,58 @@ class TestParallel:
         assert runner.stats.retried >= 1
 
     def test_worker_crash_exhausts_retries(self, tmp_path):
+        # two points: a lone one would run in (and kill) this process;
+        # the first pool breaks under both, so each is retried once
         runner = ExperimentRunner(
             jobs=2, execute=_always_crash, retries=1, mp_context="fork"
         )
         with pytest.raises(WorkerCrashError, match="giving up"):
-            runner.run(specs(1))
+            runner.run(specs(2))
+        assert runner.stats.retried == 2
+
+    def test_lone_point_runs_in_the_caller(self, tmp_path):
+        seen = []
+        runner = ExperimentRunner(
+            jobs=2,
+            cache=ResultCache(tmp_path),
+            execute=_pid,
+            mp_context="fork",
+            progress=lambda done, total, label, source: seen.append(
+                (done, total, source)
+            ),
+        )
+        assert runner.run(specs(1)) == [{"i": 0, "pid": os.getpid()}]
+        assert len(ResultCache(tmp_path).entries()) == 1
+        assert seen == [(1, 1, "run")]
+        assert runner.stats.executed == 1
+
+    def test_lone_point_left_after_cache_runs_in_the_caller(self, tmp_path):
+        ExperimentRunner(
+            jobs=1, cache=ResultCache(tmp_path), execute=_pid
+        ).run(specs(1))
+        runner = ExperimentRunner(
+            jobs=2, cache=ResultCache(tmp_path), execute=_pid, mp_context="fork"
+        )
+        results = runner.run(specs(2))
+        assert [r["pid"] for r in results] == [os.getpid(), os.getpid()]
+        assert (runner.stats.cached, runner.stats.executed) == (1, 1)
+
+    def test_retried_lone_point_runs_in_a_pool(self, tmp_path):
+        def recorded(done, total, label, source):
+            (tmp_path / "recorded").touch()
+
+        runner = ExperimentRunner(
+            jobs=2,
+            execute=_crash_once_when_signalled,
+            retries=2,
+            mp_context="fork",
+            progress=recorded,
+        )
+        results = runner.run(specs(2, crash_dir=str(tmp_path)))
         assert runner.stats.retried == 1
+        assert [r["i"] for r in results] == [0, 1]
+        assert os.getpid() not in [r["pid"] for r in results]
+        assert runner.stats.executed == 2
 
     def test_deterministic_exception_is_not_retried(self):
         runner = ExperimentRunner(
@@ -176,6 +245,47 @@ class TestParallel:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
         assert done.returncode == 0
+
+
+class TestInlineCollection:
+    """An inline point's reference cycles are reclaimed by the runner
+    itself, scanning only what the point allocated."""
+
+    def test_network_is_reclaimed_without_a_caller_collect(self):
+        from repro.api import load_preset
+        from repro.exp.tasks import sweep_point_spec
+        from repro.noc.network import Network
+
+        preset = load_preset("baseline")
+        spec = sweep_point_spec(
+            preset.topology, preset.config, "upp", "uniform_random", 0.02,
+            warmup=50, measure=150, upp_cfg=preset.upp_config,
+        )
+        # networks earlier tests left behind stay referenced (and alive)
+        # here, so none of them can be mistaken for this run's
+        before = [obj for obj in gc.get_objects() if isinstance(obj, Network)]
+        ExperimentRunner(jobs=1).run([spec])
+        left = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, Network) and not any(obj is old for old in before)
+        ]
+        assert not left
+
+    def test_callers_frozen_generation_is_left_alone(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            ExperimentRunner(jobs=1, execute=_double).run(specs(2))
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_gc_is_unfrozen_after_a_failing_point(self):
+        assert gc.get_freeze_count() == 0
+        with pytest.raises(ValueError):
+            ExperimentRunner(jobs=1, execute=_fail_deterministically).run(specs(1))
+        assert gc.get_freeze_count() == 0
 
 
 class TestDefaultRunner:
