@@ -10,10 +10,12 @@ It layers four things over a bare loop:
   are bit-identical to serial by construction).  ``jobs > 1`` buys
   parallelism, not isolation: when exactly one point is left to simulate
   after the cache lookups, it runs in the calling process, as every
-  point does under ``jobs=1``.  An inline point's reference cycles are
-  reclaimed by a collection that scans only what the point allocated
-  (the caller's heap is frozen around it), unless the caller already
-  holds a frozen generation.  Before a ``fork`` pool starts, the runner
+  point does under ``jobs=1``.  A long-lived caller that must outlive a
+  crashing point (the service) passes ``isolate=True``, and then every
+  point of a ``jobs > 1`` run goes to a pool.  An inline point's
+  reference cycles are reclaimed by a collection that scans only what
+  the point allocated (the caller's heap is frozen around it), unless
+  the caller already holds a frozen generation.  Before a ``fork`` pool starts, the runner
   imports the per-cycle engine, so workers inherit it instead of each
   importing it in its first network build;
 * **content-addressed caching** — with a
@@ -27,8 +29,8 @@ It layers four things over a bare loop:
   breaks the pool; affected points are resubmitted to a fresh pool up to
   ``retries`` times.  A retry always runs in a pool, even for a lone
   point, so a point that has crashed a worker never runs in the caller;
-  a point that never reached a pool (``jobs=1``, or the lone point) has
-  no worker to lose and is not retried.  Deterministic task exceptions
+  a point that never reached a pool (``jobs=1``, or the lone point
+  without ``isolate``) has no worker to lose and is not retried.  Deterministic task exceptions
   (a workload timeout, a :class:`DeadlockError`) are *not* retried —
   rerunning a deterministic failure can only waste CPU — and propagate
   to the caller;
@@ -93,6 +95,7 @@ class ExperimentRunner:
         execute: Optional[Callable[[Mapping], Dict[str, object]]] = None,
         mp_context: Optional[str] = None,
         progress: Optional[ProgressFn] = None,
+        isolate: bool = False,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -106,6 +109,9 @@ class ExperimentRunner:
         self.execute = execute if execute is not None else execute_spec
         self._mp_context = mp_context
         self.progress = progress
+        #: with ``jobs > 1``, run even a lone point in a worker process,
+        #: so a point that kills its process never kills the caller.
+        self.isolate = isolate
         self.stats = RunnerStats()
 
     # ------------------------------------------------------------------ #
@@ -198,7 +204,7 @@ class ExperimentRunner:
                 self._report(len(results), total, specs[index], "cache")
             else:
                 pending.append(index)
-        if len(pending) == 1:
+        if len(pending) == 1 and not self.isolate:
             # one point cannot run in parallel: a pool would only add
             # its fork and pickling
             (index,) = pending

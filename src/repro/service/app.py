@@ -354,6 +354,9 @@ class SweepService:
                 retries=0,  # the service owns retry policy (with backoff)
                 execute=self.execute,
                 progress=progress,
+                # a lone point that crashes must break a worker, not the
+                # service (and, requeued on restart, crash it again)
+                isolate=True,
             )
             try:
                 result = await asyncio.to_thread(self._run_request, job, runner)

@@ -3,10 +3,12 @@
 Covers: submit -> stream progress -> result bit-identical to a direct
 ``repro.api`` call; warm re-submission executing zero simulations via
 the tiered backend (with the hit visible in ``GET /v1/stats``);
-single-flight dedup of concurrent identical submissions; and
-kill-and-restart queue resume.
+single-flight dedup of concurrent identical submissions;
+kill-and-restart queue resume; and a point that crashes its worker
+failing its job while the service stays up.
 """
 
+import os
 import threading
 import time
 
@@ -117,6 +119,42 @@ def fake_row(spec):
         "queueing_latency": 3.0, "throughput": spec["rate"],
         "deadlocked": False, "upward_packets": 0,
     }
+
+
+def crash_worker(spec):
+    os._exit(13)
+
+
+def crash_on_first_rate(spec):
+    if spec["rate"] == RATES[0]:
+        os._exit(13)
+    return fake_row(spec)
+
+
+class TestWorkerCrash:
+    @pytest.mark.parametrize(
+        "execute, rates",
+        [(crash_worker, RATES[:1]), (crash_on_first_rate, RATES)],
+        ids=["one-point", "second-point-succeeds"],
+    )
+    def test_crashing_point_fails_its_job_not_the_service(
+        self, tmp_path, execute, rates
+    ):
+        """Under ``--jobs 2`` a point that kills its process is run in a
+        worker, even when it is the only point left to simulate, so the
+        job fails after the service's retries and the service lives."""
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), sim_jobs=2,
+            retries=2, backoff_base=0.01, execute=execute,
+        ) as svc:
+            client = ServiceClient(port=svc.port)
+            job = client.submit_sweep(**{**SWEEP, "rates": rates})
+            done = wait_done(client, job["id"])
+            assert done["state"] == "failed"
+            assert done["error"].startswith("WorkerCrashError")
+            assert done["attempts"] == 3
+            assert client.health()
+            assert client.stats()["totals"]["retried"] == 2
 
 
 class TestSingleFlightDedup:

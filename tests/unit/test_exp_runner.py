@@ -14,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -214,6 +216,65 @@ class TestParallel:
         assert [r["i"] for r in results] == [0, 1]
         assert os.getpid() not in [r["pid"] for r in results]
         assert runner.stats.executed == 2
+
+    def test_isolated_lone_point_runs_in_a_pool(self, tmp_path):
+        ExperimentRunner(
+            jobs=1, cache=ResultCache(tmp_path), execute=_pid
+        ).run(specs(1))
+        runner = ExperimentRunner(
+            jobs=2, cache=ResultCache(tmp_path), execute=_pid,
+            mp_context="fork", isolate=True,
+        )
+        results = runner.run(specs(2))
+        assert results[0]["pid"] == os.getpid()  # replayed from the cache
+        assert results[1]["pid"] != os.getpid()
+        assert (runner.stats.cached, runner.stats.executed) == (1, 1)
+
+    def test_isolated_lone_crashing_point_breaks_a_worker(self):
+        # without isolate this point would run in, and kill, this process
+        runner = ExperimentRunner(
+            jobs=2, execute=_always_crash, retries=1, mp_context="fork",
+            isolate=True,
+        )
+        with pytest.raises(WorkerCrashError, match="giving up"):
+            runner.run(specs(1))
+        assert runner.stats.retried == 1
+
+    @staticmethod
+    def _submit_breaks(monkeypatch, broken_calls):
+        """Make ``ProcessPoolExecutor.submit`` raise BrokenProcessPool on
+        the call numbers ``broken_calls`` accepts (1-based), as it does
+        when a worker died before the point was handed over."""
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def flaky_submit(self, fn, *args, **kwargs):
+            calls.append(fn)
+            if broken_calls(len(calls)):
+                raise BrokenProcessPool("a worker died before submission")
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", flaky_submit)
+
+    def test_unsent_points_are_retried(self, monkeypatch):
+        self._submit_breaks(monkeypatch, lambda call: call in (2, 3))
+        runner = ExperimentRunner(
+            jobs=2, execute=_double, retries=1, mp_context="fork"
+        )
+        assert [r["value"] for r in runner.run(specs(3))] == [0, 2, 4]
+        assert runner.stats.retried == 2
+        assert runner.stats.executed == 3
+
+    def test_unsent_points_give_up_once_retries_are_spent(self, monkeypatch):
+        self._submit_breaks(monkeypatch, lambda call: call >= 2)
+        runner = ExperimentRunner(
+            jobs=2, execute=_double, retries=2, mp_context="fork"
+        )
+        with pytest.raises(WorkerCrashError, match="giving up"):
+            runner.run(specs(3))
+        # points 1 and 2 never reach a worker: two retries each
+        assert runner.stats.retried == 4
+        assert runner.stats.executed == 1
 
     def test_deterministic_exception_is_not_retried(self):
         runner = ExperimentRunner(
