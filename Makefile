@@ -51,9 +51,11 @@ examples-smoke:
 	PYTHONPATH=src REPRO_JOBS=2 $(PYTHON) examples/coherence_workload.py blackscholes 0.05
 
 # boot a real `python -m repro serve` subprocess and drive it with
-# repro.client: submit, stream SSE progress, warm-resubmit (must execute
-# zero simulations, wait zero seconds, carry the job record in its `done`
-# event), graceful SIGTERM shutdown, reboot and wait() on the finished job
+# repro.client: submit, stream SSE progress (the cold result() must send
+# no request), warm-resubmit (must execute zero simulations, wait zero
+# seconds, take exactly one request for submit + wait + result, carry the
+# job record in its `done` event), graceful SIGTERM shutdown, reboot and
+# wait() on the finished job
 service-smoke:
 	PYTHONPATH=src $(PYTHON) tools/service_smoke.py
 

@@ -6,7 +6,8 @@ A production deployment runs ``python -m repro serve`` once per machine
 same server on a background thread so the example is self-contained.
 The flow is identical either way: submit a sweep, stream its progress
 over Server-Sent Events, fetch the result, and watch the second
-identical submission come back without simulating anything.
+identical submission come back without simulating anything — its
+result already in the answer to the submit.
 
 Run:  python examples/service_client.py
 """
@@ -22,8 +23,9 @@ SWEEP = {"rates": [0.02, 0.04], "warmup": 300, "measure": 1200}
 
 def main() -> None:
     tmp = tempfile.mkdtemp(prefix="repro-service-example-")
-    # tiered=True puts a shared remote-style tier behind the local dir,
-    # so several services (think: one per machine) can share results.
+    # tiered=True is what `serve --tiered` builds: the dir as L1 over an
+    # in-process MemoryBackend L2.  The dir answers every hit (see
+    # l1_hits below); the L2 lives and dies with this process.
     cache = api.make_cache(f"{tmp}/cache", tiered=True)
 
     with BackgroundService(f"{tmp}/queue", cache=cache) as svc:

@@ -12,12 +12,25 @@ but the stdlib::
 
 ``submit_*`` return the job's public record immediately (the server
 answers 202 before simulating anything; a request it can answer from
-its cache alone comes back already ``done``).
-:meth:`ServiceClient.wait` follows the job's Server-Sent-Events stream —
-history replays first and a finished job's stream always ends with its
-terminal event, so attaching after completion (or after a server
-restart) still terminates.  Server-side schema violations surface as
-:class:`ServiceError` carrying the server's actionable message.
+its cache alone comes back already ``done``, its result in the same
+answer).  :meth:`ServiceClient.wait` follows the job's
+Server-Sent-Events stream — history replays first and a finished job's
+stream always ends with its terminal event, which carries the record
+and, for a ``done`` job, the result — so attaching after completion (or
+after a server restart) still terminates.  Server-side schema
+violations surface as :class:`ServiceError` carrying the server's
+actionable message.
+
+A client does not ask for what it has already been told.  It keeps the
+latest answered job in one slot: its id, record and result, from the
+last ``submit_*`` or ``wait`` whose answer carried a result.
+``wait(id)`` without ``on_progress`` returns the slot's record, and
+``result(id)`` hands out the slot's result once, without a request.  So
+a warm job costs one request (the ``POST``) and a cold one two (the
+``POST`` and its event stream).  Any other id, a progress callback, or
+an answer without a result (an older server) goes over the wire.  There
+is one slot per client, not per thread: a thread whose job another
+thread's submit has displaced from the slot asks the server instead.
 
 A client keeps its connections open between requests, so a script that
 runs job after job talks over one TCP connection.
@@ -25,9 +38,11 @@ runs job after job talks over one TCP connection.
 
 from __future__ import annotations
 
+import copy
 import http.client
 import json
 import queue
+import threading
 import weakref
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -73,6 +88,10 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self._idle: queue.LifoQueue = queue.LifoQueue(MAX_IDLE_CONNECTIONS)
+        #: the latest answered job: ``(id, record, result payload)``, the
+        #: payload None once :meth:`result` has handed it out
+        self._slot: Optional[Tuple[str, Dict, Optional[Dict]]] = None
+        self._slot_lock = threading.Lock()
         # a client dropped without close() closes its sockets all the same
         weakref.finalize(self, _close_idle, self._idle)
 
@@ -136,15 +155,38 @@ class ServiceClient:
 
     # ------------------------------------------------------------------ #
 
+    def _keep(
+        self, record: Optional[Dict[str, object]], answer: Dict[str, object]
+    ) -> None:
+        """Put ``record`` and the result ``answer`` carries in the slot;
+        an answer without a result empties it."""
+        slot = None
+        if "result" in answer:
+            job_id = record["id"]
+            slot = (job_id, copy.deepcopy(record),
+                    {"id": job_id, "result": answer["result"]})
+        with self._slot_lock:
+            self._slot = slot
+
+    def _submit(self, path: str, request: Dict) -> Dict[str, object]:
+        answer = self._request("POST", path, request)
+        self._keep(answer["job"], answer)
+        return answer["job"]
+
     def submit_sweep(self, **request) -> Dict[str, object]:
-        """``POST /v1/sweeps``; returns the accepted job record."""
+        """``POST /v1/sweeps``; returns the accepted job record.
+
+        A job the server finished on the submit path comes back with its
+        result, which the slot keeps for :meth:`wait` and :meth:`result`.
+        """
         request.setdefault("schema", SWEEP_REQUEST_SCHEMA)
-        return self._request("POST", "/v1/sweeps", request)["job"]
+        return self._submit("/v1/sweeps", request)
 
     def submit_workload(self, **request) -> Dict[str, object]:
-        """``POST /v1/workloads``; returns the accepted job record."""
+        """``POST /v1/workloads``; returns the accepted job record (and
+        keeps a finished job's result, as :meth:`submit_sweep` does)."""
         request.setdefault("schema", WORKLOAD_REQUEST_SCHEMA)
-        return self._request("POST", "/v1/workloads", request)["job"]
+        return self._submit("/v1/workloads", request)
 
     def job(self, job_id: str) -> Dict[str, object]:
         return self._request("GET", f"/v1/jobs/{job_id}")["job"]
@@ -153,7 +195,18 @@ class ServiceClient:
         return self._request("GET", "/v1/jobs")["jobs"]
 
     def result(self, job_id: str) -> Dict[str, object]:
-        """The completed job's result (409 -> ServiceError while running)."""
+        """The completed job's ``{"id", "result"}`` (409 -> ServiceError
+        while running).
+
+        Taken from the slot, without a request, when the latest answer
+        was this job's and its result has not been handed out yet; the
+        slot gives each result out once, so a second call asks the server.
+        """
+        with self._slot_lock:
+            slot = self._slot
+            if slot is not None and slot[0] == job_id and slot[2] is not None:
+                self._slot = (slot[0], slot[1], None)
+                return slot[2]
         return self._request("GET", f"/v1/jobs/{job_id}/result")
 
     def stats(self) -> Dict[str, object]:
@@ -207,19 +260,26 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """Follow the job's stream to completion; returns the final job.
 
-        The terminal event carries the job's record, so no further
-        request is made.  Raises :class:`ServiceError` if the job
-        failed.  If the stream closed without a terminal event (server
-        shutdown requeued the job), the record is fetched instead and
-        its ``state`` says so — callers can resubscribe after the
-        service restarts.
+        Without ``on_progress``, a job whose record and result the slot
+        holds is answered from it — a copy of the record — with no
+        request.  Otherwise the stream is followed: its terminal event
+        carries the job's record, and a ``done`` job's result, which the
+        slot keeps, so no further request is made.  Raises
+        :class:`ServiceError` if the job failed.  If the stream closed
+        without a terminal event (server shutdown requeued the job), the
+        record is fetched instead and its ``state`` says so — callers
+        can resubscribe after the service restarts.
         """
+        slot = self._slot
+        if on_progress is None and slot is not None and slot[0] == job_id:
+            return copy.deepcopy(slot[1])
         job = None
         for event, data in self.stream(job_id):
             if event == "progress" and on_progress is not None:
                 on_progress(data)
             elif event in TERMINAL_EVENTS:
                 job = data.get("job")
+                self._keep(job, data)
         if job is None:
             job = self.job(job_id)
         if job["state"] == "failed":

@@ -7,8 +7,8 @@ A :class:`SweepService` is a long-running asyncio process that turns
   the versioned request schemas (:mod:`repro.service.schemas`) and
   return a job id immediately (HTTP 202);
 * **warm path** — a request whose every point is already in the cache
-  is replayed on the submit path and answered ``done`` in that 202: one
-  durable write, no queue wait, no worker thread;
+  is replayed on the submit path and answered ``done``, with its result,
+  in that 202: one durable write, no queue wait, no worker thread;
 * **persistent queue** — jobs land in a crash-safe on-disk
   :class:`~repro.service.queue.JobQueue`; a restarted server resumes
   where the dead one stopped, and completed points replay from the
@@ -17,7 +17,7 @@ A :class:`SweepService` is a long-running asyncio process that turns
   Server-Sent-Events stream fed by the runner's existing
   ``progress(done, total, label, source)`` callbacks (history replays
   first, so a late subscriber misses nothing); the terminal event
-  carries the job's public record;
+  carries the job's public record, and a ``done`` job's result;
 * **single-flight dedup** — two concurrent jobs with the same request
   fingerprint execute **once**; the follower awaits the leader's result
   and completes with ``metrics.deduped = true``.  Sequential
@@ -531,7 +531,10 @@ class SweepService:
                 job = self.submit(kind, payload)
             except JobSchemaError as exc:
                 return 400, {"error": str(exc)}
-            return 202, {"job": job.public()}
+            answer = {"job": job.public()}
+            if job.state == "done":
+                answer["result"] = job.result
+            return 202, answer
         if method == "GET" and segments == ["v1", "stats"]:
             return 200, self.stats()
         if method == "GET" and segments == ["v1", "healthz"]:
@@ -734,7 +737,8 @@ def _progress_event(
 
 def _terminal_event(job: Job) -> Tuple[str, Dict[str, object]]:
     """The event that ends a finished job's stream, named after its state
-    and carrying its public record so a client need not ask again."""
+    and carrying its public record — and a ``done`` job's result — so a
+    client need not ask again."""
     if job.state == "done":
         data = {"state": "done"}
         for name in ("executed", "cached", "deduped"):
@@ -742,6 +746,8 @@ def _terminal_event(job: Job) -> Tuple[str, Dict[str, object]]:
     else:
         data = {"state": "failed", "error": job.error}
     data["job"] = job.public()
+    if job.state == "done":
+        data["result"] = job.result
     return job.state, data
 
 

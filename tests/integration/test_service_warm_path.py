@@ -1,10 +1,11 @@
 """The service's warm path and the stream/HTTP fixes that rode with it.
 
 A request whose every point is already cached is replayed on the submit
-path: one durable write, three HTTP round trips, no queue wait and no
-worker thread — through the same ``_run_request`` a worker runs, so the
-job record and result are what a queued warm job's were.  Work is
-asserted as counts that repeat exactly, never as timings.
+path: one durable write, one HTTP round trip (the 202 carries the
+result, and the client asks for nothing it already has), no queue wait
+and no worker thread — through the same ``_run_request`` a worker runs,
+so the job record and result are what a queued warm job's were.  Work
+is asserted as counts that repeat exactly, never as timings.
 """
 
 import asyncio
@@ -18,6 +19,7 @@ from repro.client import ServiceClient, ServiceError
 from repro.exp.backends import MemoryBackend
 from repro.exp.cache import ResultCache
 from repro.service import BackgroundService, Job, JobQueue
+from repro.service import app
 from repro.service import schemas as wire
 from repro.service.app import MAX_BODY_BYTES
 
@@ -54,9 +56,16 @@ def count_calls(obj, name, log, label=lambda *args: args):
     setattr(obj, name, counted)
 
 
+def counted_client(port):
+    """A client and the ``(method, path)`` of every request it sends."""
+    client, requests = ServiceClient(port=port, timeout=30), []
+    count_calls(client, "_open", requests, lambda method, path, *_: (method, path))
+    return client, requests
+
+
 class TestWarmPathWork:
-    def test_warm_job_is_one_persist_and_three_requests(self, tmp_path, monkeypatch):
-        persists, requests, claims, threads = [], [], [], []
+    def test_warm_job_is_one_persist_and_one_request(self, tmp_path, monkeypatch):
+        persists, claims, threads = [], [], []
         real_to_thread = asyncio.to_thread
 
         async def to_thread(func, *args, **kwargs):
@@ -68,14 +77,18 @@ class TestWarmPathWork:
             tmp_path / "queue", cache=ResultCache(tmp_path / "cache"),
             execute=fake_row,
         ) as svc:
-            client = ServiceClient(port=svc.port, timeout=30)
+            client, requests = counted_client(svc.port)
             queue = svc.service.queue
             count_calls(queue, "persist", persists, lambda job: job.state)
             count_calls(queue, "claim_next", claims)
-            count_calls(client, "_open", requests, lambda method, path, *_: (method, path))
 
-            # cold: the recovery states are all still written
+            # cold: the recovery states are all still written, and the
+            # result comes with the stream's done event
             accepted, done, cold_result = run_job(client, **SWEEP)
+            assert requests == [
+                ("POST", "/v1/sweeps"),
+                ("GET", f"/v1/jobs/{accepted['id']}/events"),
+            ]
             assert accepted["state"] == "queued"
             assert done["metrics"]["executed"] == len(RATES)
             assert persists == ["queued", "running", "done"]
@@ -88,11 +101,7 @@ class TestWarmPathWork:
             accepted, done, warm_result = run_job(client, **SWEEP)
             job_id = accepted["id"]
             assert persists == ["done"]
-            assert requests == [
-                ("POST", "/v1/sweeps"),
-                ("GET", f"/v1/jobs/{job_id}/events"),
-                ("GET", f"/v1/jobs/{job_id}/result"),
-            ]
+            assert requests == [("POST", "/v1/sweeps")]
             assert claims == [] and threads == []
             assert accepted["state"] == "done"  # already in the 202
             assert accepted == done == client.job(job_id)
@@ -196,15 +205,22 @@ class TestWarmPathWork:
         with BackgroundService(
             tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
         ) as svc:
-            client = ServiceClient(port=svc.port, timeout=30)
+            client, requests = counted_client(svc.port)
             cold = client.submit_workload(**request)
             assert cold["state"] == "queued"
             client.wait(cold["id"])
+            cold_result = client.result(cold["id"])["result"]
+            assert requests == [
+                ("POST", "/v1/workloads"),
+                ("GET", f"/v1/jobs/{cold['id']}/events"),
+            ]
+            requests.clear()
             warm = client.submit_workload(**request)
             assert warm["state"] == "done"
             assert warm["metrics"]["cached"] == 2
-            assert (client.result(warm["id"])["result"]
-                    == client.result(cold["id"])["result"])
+            assert client.wait(warm["id"]) == warm
+            assert client.result(warm["id"])["result"] == cold_result
+            assert requests == [("POST", "/v1/workloads")]
 
     def test_probe_error_is_left_to_the_worker_to_report(self, tmp_path):
         """Anything but an answer on the submit path means 'enqueue': the
@@ -223,6 +239,144 @@ class TestWarmPathWork:
             with pytest.raises(ServiceError, match="cache volume is gone"):
                 client.wait(accepted["id"])
             assert client.job(accepted["id"])["state"] == "failed"
+
+
+class TestClientSlot:
+    """The client keeps the latest answered job — id, record, result —
+    and asks the server only for what that slot cannot answer."""
+
+    def test_progress_callback_still_streams(self, tmp_path):
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client, requests = counted_client(svc.port)
+            run_job(client, **SWEEP)
+            accepted = client.submit_sweep(**SWEEP)
+            requests.clear()
+            progress = []
+            done = client.wait(accepted["id"], on_progress=progress.append)
+            assert requests == [("GET", f"/v1/jobs/{accepted['id']}/events")]
+            assert [(p["done"], p["source"]) for p in progress] == [
+                (1, "cache"), (2, "cache"),
+            ]
+            assert done == accepted
+
+    def test_result_is_handed_out_once_then_asked_for(self, tmp_path):
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client, requests = counted_client(svc.port)
+            run_job(client, **SWEEP)
+            job_id = client.submit_sweep(**SWEEP)["id"]
+            requests.clear()
+            first = client.result(job_id)
+            assert requests == []
+            second = client.result(job_id)
+            assert requests == [("GET", f"/v1/jobs/{job_id}/result")]
+            assert first == second and first is not second
+            assert first["id"] == job_id
+
+    def test_a_displaced_job_is_asked_for(self, tmp_path):
+        other = {**SWEEP, "rates": RATES[:1]}
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client, requests = counted_client(svc.port)
+            _, _, result_a = run_job(client, **SWEEP)
+            _, _, result_b = run_job(client, **other)
+            a = client.submit_sweep(**SWEEP)
+            client.submit_sweep(**other)  # B takes the slot
+            requests.clear()
+            assert client.result(a["id"])["result"] == result_a
+            assert client.wait(a["id"]) == a
+            assert requests == [
+                ("GET", f"/v1/jobs/{a['id']}/result"),
+                ("GET", f"/v1/jobs/{a['id']}/events"),
+            ]
+            # the stream's done event put A, with its result, in the slot
+            requests.clear()
+            assert client.result(a["id"])["result"] == result_a
+            assert client.result(a["id"])["result"] == result_a
+            assert requests == [("GET", f"/v1/jobs/{a['id']}/result")]
+            assert result_a != result_b
+
+    def test_answers_without_a_result_go_over_the_wire(self, tmp_path, monkeypatch):
+        """A server that sends no result (one older than the slot) gets
+        the three requests a job always took, with the same answers."""
+
+        def untimed(record):
+            kept = {k: v for k, v in record.items()
+                    if k != "id" and not k.endswith("_unix")}
+            kept["metrics"] = {k: v for k, v in record["metrics"].items()
+                               if k != "queue_wait_s"}
+            return kept
+
+        with BackgroundService(
+            tmp_path / "q0", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client = ServiceClient(port=svc.port, timeout=30)
+            answers = [run_job(client, **SWEEP) for _ in ("cold", "warm")]
+
+        real_event = app._terminal_event
+
+        def event_without_result(job):
+            event, data = real_event(job)
+            data.pop("result", None)
+            return event, data
+
+        monkeypatch.setattr(app, "_terminal_event", event_without_result)
+        with BackgroundService(
+            tmp_path / "q1", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            real_route = svc.service._route
+
+            def route_without_result(method, path, body):
+                answer = real_route(method, path, body)
+                if method == "POST":
+                    answer[1].pop("result", None)
+                return answer
+
+            svc.service._route = route_without_result
+            client, requests = counted_client(svc.port)
+            for accepted, done, result in answers:
+                requests.clear()
+                old_accepted, old_done, old_result = run_job(client, **SWEEP)
+                job_id = old_accepted["id"]
+                assert requests == [
+                    ("POST", "/v1/sweeps"),
+                    ("GET", f"/v1/jobs/{job_id}/events"),
+                    ("GET", f"/v1/jobs/{job_id}/result"),
+                ]
+                assert untimed(old_accepted) == untimed(accepted)
+                assert untimed(old_done) == untimed(done)
+                assert old_result == result
+
+    def test_editing_an_answer_changes_no_later_one(self, tmp_path):
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client, requests = counted_client(svc.port)
+            # cold: the record wait() returned, then the streamed result
+            cold = client.submit_sweep(**SWEEP)
+            done = client.wait(cold["id"])
+            record = client.job(cold["id"])
+            done["metrics"]["executed"] = -1
+            assert client.wait(cold["id"]) == record
+            result = client.result(cold["id"])
+            expected = client.result(cold["id"])
+            result["result"]["points"].clear()
+            assert client.result(cold["id"]) == expected
+
+            # warm: the record submit and wait returned, then the result
+            accepted = client.submit_sweep(**SWEEP)
+            record = client.job(accepted["id"])
+            accepted["metrics"]["cached"] = -1
+            done = client.wait(accepted["id"])
+            assert done == record
+            done["state"] = "edited"
+            assert client.wait(accepted["id"]) == record
+            client.result(accepted["id"])["result"]["points"].clear()
+            assert client.result(accepted["id"]) == expected | {"id": accepted["id"]}
 
 
 class TestRestart:

@@ -4,12 +4,15 @@
 Boots a real ``python -m repro serve`` subprocess, then drives it with
 :class:`repro.client.ServiceClient` the way a user would:
 
-1. submit a tiny sweep and stream its progress over SSE;
+1. submit a tiny sweep and stream its progress over SSE; its ``done``
+   event carries the result, so ``result()`` sends no request;
 2. re-submit the identical request and assert the warm run executes
    **zero** simulations (tiered cache hit, visible in ``/v1/stats``),
-   never waited in the queue, that its ``done`` event carried the job
-   record, and that it opened no TCP connection (``totals.connections``):
-   the client reuses the one it kept;
+   never waited in the queue, that submit, ``wait()`` and ``result()``
+   together sent exactly one request (the 202 carries the result), that
+   its ``done`` event carried the job record, and that it opened no TCP
+   connection (``totals.connections``): the client reuses the one it
+   kept;
 3. SIGTERM the server while the client holds that idle connection and
    assert it shuts down gracefully (exit 0) within a few seconds;
 4. boot a second server on the same directories and assert ``wait()``
@@ -66,6 +69,18 @@ def boot(tmp: str):
     return proc, client
 
 
+def count_requests(client) -> list:
+    """Log the ``(method, path)`` of every request ``client`` sends."""
+    sent, real_open = [], client._open
+
+    def counted(method, path, *args, **kwargs):
+        sent.append((method, path))
+        return real_open(method, path, *args, **kwargs)
+
+    client._open = counted
+    return sent
+
+
 def shut_down(proc) -> None:
     start = time.monotonic()
     proc.send_signal(signal.SIGTERM)
@@ -86,6 +101,7 @@ def main() -> int:
             fail("healthz did not answer ok")
 
         # 1. cold submit + SSE progress stream
+        sent = count_requests(client)
         job = client.submit_sweep(**SWEEP)
         print(f"submitted job {job['id']} (fingerprint {job['fingerprint'][:12]})")
         seen = []
@@ -100,13 +116,22 @@ def main() -> int:
         if done["metrics"]["executed"] != len(SWEEP["rates"]):
             fail(f"cold run executed {done['metrics']['executed']}, "
                  f"expected {len(SWEEP['rates'])}")
+        sent.clear()
         points = client.result(job["id"])["result"]["points"]
+        if sent:
+            fail(f"cold result() sent {sent}; expected the done event's result")
         print(f"cold: executed={done['metrics']['executed']} points={len(points)}")
 
-        # 2. warm re-submit: zero simulations, answered on the submit path,
-        #    over the connection the cold leg left open
+        # 2. warm re-submit: zero simulations, answered on the submit path
+        #    in one request, over the connection the cold leg left open
         opened = client.stats()["totals"]["connections"]
+        sent.clear()
         warm = client.wait(client.submit_sweep(**SWEEP)["id"])
+        warm_points = client.result(warm["id"])["result"]["points"]
+        if sent != [("POST", "/v1/sweeps")]:
+            fail(f"warm submit, wait and result sent {sent}; expected one POST")
+        if warm_points != points:
+            fail("warm result differs from the cold one")
         if warm["metrics"]["executed"] != 0:
             fail(f"warm run executed {warm['metrics']['executed']}, expected 0")
         if warm["metrics"]["queue_wait_s"] != 0:
@@ -123,7 +148,7 @@ def main() -> int:
         if stats["totals"]["connections"] != opened:
             fail(f"warm leg opened {stats['totals']['connections'] - opened} "
                  "connection(s); expected it to reuse the kept one")
-        print(f"warm: executed=0 cached={warm['metrics']['cached']} "
+        print(f"warm: executed=0 cached={warm['metrics']['cached']} requests=1 "
               f"l1_hits={stats['cache']['l1_hits']} "
               f"connections={stats['totals']['connections']}")
 
