@@ -38,7 +38,6 @@ runs job after job talks over one TCP connection.
 
 from __future__ import annotations
 
-import copy
 import http.client
 import json
 import queue
@@ -88,9 +87,11 @@ class ServiceClient:
         self.port = port
         self.timeout = timeout
         self._idle: queue.LifoQueue = queue.LifoQueue(MAX_IDLE_CONNECTIONS)
-        #: the latest answered job: ``(id, record, result payload)``, the
-        #: payload None once :meth:`result` has handed it out
-        self._slot: Optional[Tuple[str, Dict, Optional[Dict]]] = None
+        #: the latest answered job: ``(id, record as JSON text, result
+        #: payload)``, the payload None once :meth:`result` has handed it
+        #: out.  The text is the record's copy: each ``json.loads`` of it
+        #: is a new, independent record, for a fraction of a deep copy.
+        self._slot: Optional[Tuple[str, str, Optional[Dict]]] = None
         self._slot_lock = threading.Lock()
         # a client dropped without close() closes its sockets all the same
         weakref.finalize(self, _close_idle, self._idle)
@@ -163,7 +164,7 @@ class ServiceClient:
         slot = None
         if "result" in answer:
             job_id = record["id"]
-            slot = (job_id, copy.deepcopy(record),
+            slot = (job_id, json.dumps(record),
                     {"id": job_id, "result": answer["result"]})
         with self._slot_lock:
             self._slot = slot
@@ -272,7 +273,7 @@ class ServiceClient:
         """
         slot = self._slot
         if on_progress is None and slot is not None and slot[0] == job_id:
-            return copy.deepcopy(slot[1])
+            return json.loads(slot[1])
         job = None
         for event, data in self.stream(job_id):
             if event == "progress" and on_progress is not None:

@@ -138,14 +138,20 @@ class ResultCache:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``<root>/`` as a string: an entry's path is one concatenation
+        #: away, where a pathlib join costs several object constructions
+        self._prefix = os.path.join(str(self.root), "")
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
 
     # ------------------------------------------------------------------ #
 
+    def _file_for(self, key: str) -> str:
+        return f"{self._prefix}{key[:2]}/{key}.json"
+
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file_for(key))
 
     def get(self, key: str) -> Optional[Dict]:
         """The stored entry for ``key``, or None on miss.
@@ -153,10 +159,10 @@ class ResultCache:
         A corrupt entry (truncated write, bad JSON, wrong key) counts as
         a miss and is deleted so the slot can be refilled.
         """
-        path = self.path_for(key)
+        path = self._file_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(path, "rb") as handle:
+                entry = json.loads(handle.read())
             if entry.get("key") != key or "result" not in entry:
                 raise ValueError("entry does not match its key")
         except FileNotFoundError:
@@ -166,23 +172,25 @@ class ResultCache:
             self.corrupt += 1
             self.misses += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
         self.hits += 1
         return entry
 
-    def put(self, key: str, spec: Mapping, result: object) -> Path:
-        """Store one executed point atomically; returns the entry path."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = make_entry(key, spec, result)
+    def put(self, key: str, spec: Mapping, result: object) -> str:
+        """Store one executed point atomically; returns the entry's path
+        (the string form of :meth:`path_for`)."""
+        shard = f"{self._prefix}{key[:2]}"
+        os.makedirs(shard, exist_ok=True)
+        path = f"{shard}/{key}.json"
+        data = json.dumps(make_entry(key, spec, result), sort_keys=True).encode("utf-8")
         # a temp name per writer: two threads (or processes) storing the
         # same key must not rename each other's half-written file
-        tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True))
+        tmp = f"{shard}/{key}.{os.getpid()}-{threading.get_ident()}.tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
         return path
 

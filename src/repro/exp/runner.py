@@ -51,7 +51,7 @@ import gc
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.exp.backends import CacheBackend
@@ -78,7 +78,14 @@ class RunnerStats:
     skipped: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
+        """``dataclasses.asdict`` of the counters, without its reflection."""
+        return {
+            "submitted": self.submitted,
+            "executed": self.executed,
+            "cached": self.cached,
+            "retried": self.retried,
+            "skipped": self.skipped,
+        }
 
 
 ProgressFn = Callable[[int, int, str, str], None]

@@ -5,7 +5,8 @@ A :class:`SweepService` is a long-running asyncio process that turns
 
 * **submission** — ``POST /v1/sweeps`` / ``POST /v1/workloads`` accept
   the versioned request schemas (:mod:`repro.service.schemas`) and
-  return a job id immediately (HTTP 202);
+  return a job id immediately (HTTP 202) — or 503, counting nothing,
+  when the job cannot be written to the queue;
 * **warm path** — a request whose every point is already in the cache
   is replayed on the submit path and answered ``done``, with its result,
   in that 202: one durable write, no queue wait, no worker thread;
@@ -82,6 +83,7 @@ _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     408: "Request Timeout", 409: "Conflict", 411: "Length Required",
     413: "Payload Too Large", 431: "Request Header Fields Too Large",
+    503: "Service Unavailable",
 }
 
 
@@ -215,15 +217,17 @@ class SweepService:
 
         A request the cache can answer completely is replayed right here
         and recorded already ``done``; any other is enqueued for a worker.
+        A job whose persist fails (:class:`OSError`) is not taken in: the
+        error propagates and nothing is counted.
         """
         request, fingerprint = wire.job_fingerprint(kind, body)
         job = Job.create(kind, request, fingerprint)
-        self.totals["submitted"] += 1
         if not self._replay(job):
             self.queue.submit(job)
             self._log_event(job.id, "state", {"state": "queued"})
             if self._wake is not None:
                 self._wake.set()
+        self.totals["submitted"] += 1
         return job
 
     def _replay(self, job: Job) -> bool:
@@ -254,11 +258,13 @@ class SweepService:
         self._complete(job, result, runner.stats.as_dict())
         job.started_unix = job.finished_unix
         self.queue.record(job)
+        self._count_done(job)
         self._events[job.id] = events
         return True
 
     def _complete(self, job: Job, result, stats: Dict[str, object]) -> None:
-        """Mark ``job`` done and count it; the caller persists it."""
+        """Mark ``job`` done; the caller persists it, then counts it
+        (:meth:`_count_done`) — a job that never reached disk is not."""
         job.result = result
         job.metrics.update(
             executed=stats.get("executed", 0),
@@ -267,6 +273,8 @@ class SweepService:
         )
         job.state = "done"
         job.finished_unix = time.time()
+
+    def _count_done(self, job: Job) -> None:
         self.totals["completed"] += 1
         self.totals["executed"] += job.metrics["executed"]
         self.totals["cached"] += job.metrics["cached"]
@@ -332,6 +340,7 @@ class SweepService:
             return
         self._complete(job, result, stats)
         self.queue.persist(job)
+        self._count_done(job)
         self._publish(job.id, *_terminal_event(job))
 
     async def _execute_with_retry(self, job: Job):
@@ -531,6 +540,8 @@ class SweepService:
                 job = self.submit(kind, payload)
             except JobSchemaError as exc:
                 return 400, {"error": str(exc)}
+            except OSError as exc:  # the job could not be made durable
+                return 503, {"error": f"job not accepted: cannot persist it: {exc}"}
             answer = {"job": job.public()}
             if job.state == "done":
                 answer["result"] = job.result

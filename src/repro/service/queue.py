@@ -33,6 +33,8 @@ class JobQueue:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``<root>/`` as a string, so a persist builds no Path
+        self._prefix = os.path.join(str(self.root), "")
         self._jobs: Dict[str, Job] = {}
         self._pending: Deque[str] = deque()
         #: jobs found mid-flight at startup and requeued (crash recovery).
@@ -42,9 +44,6 @@ class JobQueue:
         self._load()
 
     # ------------------------------------------------------------------ #
-
-    def _path(self, job_id: str) -> Path:
-        return self.root / f"{job_id}.json"
 
     def _load(self) -> None:
         loaded: List[Job] = []
@@ -77,13 +76,14 @@ class JobQueue:
 
     def persist(self, job: Job) -> None:
         """Write the job's current state atomically."""
-        path = self._path(job.id)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # one string: json.dumps runs the C encoder in one shot,
-            # json.dump walks the pure-Python chunk iterator
-            handle.write(json.dumps(job.to_dict(), sort_keys=True))
-        os.replace(tmp, path)
+        # one byte string: json.dumps runs the C encoder in one shot
+        # (json.dump walks the pure-Python chunk iterator), and a binary
+        # write skips the text layer's encoder
+        data = json.dumps(job.to_dict(), sort_keys=True).encode("utf-8")
+        stem = self._prefix + job.id
+        with open(stem + ".tmp", "wb") as handle:
+            handle.write(data)
+        os.replace(stem + ".tmp", stem + ".json")
 
     def record(self, job: Job) -> Job:
         """Take in one new job (persisted before it is visible) without

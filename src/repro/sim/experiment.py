@@ -9,7 +9,7 @@ parallel/cache bit-identity checks compare.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List
 
 __all__ = [
@@ -49,5 +49,21 @@ def saturation_throughput(points: List[SweepPoint], zero_load_factor: float = 2.
 
 def sweep_to_rows(points: List[SweepPoint]) -> List[dict]:
     """Plain-dict form of a sweep (JSON-serialisable) — the projection
-    the parallel/cache bit-identity checks compare."""
-    return [asdict(p) for p in points]
+    the parallel/cache bit-identity checks compare.
+
+    Exactly ``dataclasses.asdict`` per point (same keys, same order),
+    read straight from the fields: every field is a scalar, so asdict's
+    recursive deep copy would copy nothing.
+    """
+    return [
+        {
+            "rate": p.rate,
+            "latency": p.latency,
+            "network_latency": p.network_latency,
+            "queueing_latency": p.queueing_latency,
+            "throughput": p.throughput,
+            "deadlocked": p.deadlocked,
+            "upward_packets": p.upward_packets,
+        }
+        for p in points
+    ]

@@ -9,7 +9,9 @@ is asserted as counts that repeat exactly, never as timings.
 """
 
 import asyncio
+import errno
 import json
+import logging
 import socket
 import time
 
@@ -239,6 +241,53 @@ class TestWarmPathWork:
             with pytest.raises(ServiceError, match="cache volume is gone"):
                 client.wait(accepted["id"])
             assert client.job(accepted["id"])["state"] == "failed"
+
+
+class TestPersistFailure:
+    """A job the queue cannot write (a full disk, say) is refused with a
+    503: nothing is counted or kept, and the service goes on serving."""
+
+    @pytest.mark.parametrize("leg, state", [("warm", "done"), ("cold", "queued")])
+    def test_refused_job_is_not_taken_in(self, tmp_path, caplog, leg, state):
+        tried = []
+
+        def full_disk(job):
+            tried.append(job.state)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with BackgroundService(
+            tmp_path / "queue", cache=MemoryBackend(), execute=fake_row
+        ) as svc:
+            client = ServiceClient(port=svc.port, timeout=30)
+            if leg == "warm":
+                run_job(client, **SWEEP)  # fill the cache
+            before = client.stats()
+            events = set(svc.service._events)
+            queue = svc.service.queue
+            queue.persist = full_disk
+            try:
+                with caplog.at_level(logging.ERROR, logger="asyncio"):
+                    with pytest.raises(ServiceError) as refused:
+                        client.submit_sweep(**SWEEP)
+            finally:
+                del queue.persist
+            # the warm leg failed in _replay's record, the cold one in submit
+            assert tried == [state]
+            assert refused.value.status == 503
+            assert "No space left on device" in refused.value.message
+            assert caplog.records == []
+            after = client.stats()
+            assert after["totals"] == before["totals"]
+            assert after["jobs"] == before["jobs"]
+            assert set(svc.service._events) == events
+            assert client.health()
+
+            accepted = client.submit_sweep(**SWEEP)
+            assert accepted["state"] == state
+            assert client.wait(accepted["id"])["state"] == "done"
+            assert client.stats()["totals"]["submitted"] == (
+                before["totals"]["submitted"] + 1
+            )
 
 
 class TestClientSlot:

@@ -289,11 +289,12 @@ class TestCommands:
     def test_cache_gc_removes_only_entries_older_than_age(self, capsys, tmp_path):
         import json
         import time
+        from pathlib import Path
 
         from repro.exp.cache import ResultCache
 
         cache = ResultCache(tmp_path)
-        old = cache.put("ab" * 32, {"kind": "sweep_point"}, {"x": 1})
+        old = Path(cache.put("ab" * 32, {"kind": "sweep_point"}, {"x": 1}))
         cache.put("cd" * 32, {"kind": "sweep_point"}, {"x": 2})
         entry = json.loads(old.read_text(encoding="utf-8"))
         entry["created_unix"] = int(time.time()) - 3 * 86400

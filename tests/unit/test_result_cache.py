@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -77,14 +78,15 @@ class TestResultCache:
     def test_entries_are_sharded_by_key_prefix(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(SPEC)
-        path = cache.put(key, SPEC, {"x": 1})
+        path = Path(cache.put(key, SPEC, {"x": 1}))
+        assert path == cache.path_for(key)
         assert path.parent.name == key[:2]
         assert path.name == f"{key}.json"
 
     def test_corrupt_entry_is_a_self_healing_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(SPEC)
-        path = cache.put(key, SPEC, {"x": 1})
+        path = Path(cache.put(key, SPEC, {"x": 1}))
         path.write_text("{ truncated json", encoding="utf-8")
         assert cache.get(key) is None
         assert cache.corrupt == 1
@@ -131,6 +133,43 @@ class TestResultCache:
             f"{key}.json"
         ]
 
+    def test_a_reader_never_sees_a_torn_entry(self, tmp_path):
+        """Two writer threads, one of them through a second cache on the
+        same directory, keep replacing one key while a reader gets it.
+        Every read is None (before the first write lands) or a whole
+        entry holding a result some writer stored."""
+        cache, other = ResultCache(tmp_path), ResultCache(tmp_path)
+        key = cache_key(SPEC)
+        size, rounds = 20_000, 60  # ~100 KiB per entry: many write calls
+
+        def write(store, writer):
+            for n in range(rounds):
+                store.put(key, SPEC, {"writer": writer, "n": n, "pad": [n] * size})
+
+        writers = [
+            threading.Thread(target=write, args=(store, writer))
+            for writer, store in enumerate((cache, other))
+        ]
+        for thread in writers:
+            thread.start()
+        reads, landed = [], False
+        while any(thread.is_alive() for thread in writers) or not reads:
+            entry = cache.get(key)
+            reads.append(entry)
+            if entry is None:
+                assert not landed, "an entry vanished after the first write"
+                continue
+            landed = True
+            result = entry["result"]
+            assert entry["key"] == key and entry["spec"] == SPEC
+            assert result["writer"] in (0, 1) and 0 <= result["n"] < rounds
+            assert result["pad"] == [result["n"]] * size
+        for thread in writers:
+            thread.join(timeout=60)
+
+        assert cache.corrupt == 0
+        assert cache.get(key)["result"]["n"] == rounds - 1
+
     def test_entry_with_wrong_key_is_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(SPEC)
@@ -164,7 +203,7 @@ class TestResultCache:
     def test_gc_by_age(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache_key(SPEC)
-        path = cache.put(key, SPEC, {"x": 1})
+        path = Path(cache.put(key, SPEC, {"x": 1}))
         assert cache.gc(max_age_days=1) == 0  # fresh entry survives
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["created_unix"] = 0  # 1970: ancient
@@ -176,7 +215,7 @@ class TestResultCache:
         ``<key>.<pid>-<tid>.tmp``; gc drops it once that pid is gone and
         never touches the temp file of a writer still running."""
         cache = ResultCache(tmp_path)
-        path = cache.put(cache_key(SPEC), SPEC, {"x": 1})
+        path = Path(cache.put(cache_key(SPEC), SPEC, {"x": 1}))
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         child.wait(timeout=30)
         dead = path.with_suffix(f".{child.pid}-1.tmp")
@@ -195,7 +234,7 @@ class TestResultCache:
 
     def test_gc_removes_corrupt_files(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put(cache_key(SPEC), SPEC, {"x": 1})
+        path = Path(cache.put(cache_key(SPEC), SPEC, {"x": 1}))
         path.write_text("garbage", encoding="utf-8")
         assert cache.gc(max_age_days=10_000) == 1
 
